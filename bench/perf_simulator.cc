@@ -284,8 +284,8 @@ std::vector<core::TrainConfig>
 paperGrid()
 {
     campaign::CampaignSpec spec;
-    spec.models = {"lenet", "alexnet", "googlenet", "inception-v3",
-                   "resnet-50"};
+    spec.values["model"] = {"lenet", "alexnet", "googlenet",
+                            "inception-v3", "resnet-50"};
     return spec.expand();
 }
 

@@ -32,13 +32,6 @@ struct FamilyKey
     }
 };
 
-bool
-isStaged(core::ParallelismMode mode)
-{
-    return mode == core::ParallelismMode::ModelParallel ||
-           mode == core::ParallelismMode::Pipeline;
-}
-
 std::string
 strategyLabel(const core::TrainConfig &cfg,
               const core::TrainConfig &base)

@@ -1,236 +1,83 @@
 #include "campaign/campaign.hh"
 
-#include <cinttypes>
-#include <cstdio>
 #include <deque>
 #include <map>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "campaign/thread_pool.hh"
-#include "comm/factory.hh"
 #include "core/layer_costs.hh"
 #include "core/trainer_base.hh"
-#include "hw/cluster.hh"
-#include "hw/platform.hh"
 #include "sim/logging.hh"
-#include "sim/suggest.hh"
 
 namespace dgxsim::campaign {
 
 std::vector<core::TrainConfig>
 CampaignSpec::expand() const
 {
-    const std::vector<std::string> plats =
-        platforms.empty() ? std::vector<std::string>{base.platform}
-                          : platforms;
-    const std::vector<std::string> nets =
-        interconnects.empty()
-            ? std::vector<std::string>{base.interconnect}
-            : interconnects;
-    for (const std::string &name : nets) {
-        if (!hw::isInterconnect(name)) {
-            sim::fatal("unknown interconnect '", name, "'",
-                       sim::didYouMean(name, hw::interconnectNames()),
-                       " in campaign grid");
+    // Every listed value must parse before anything runs, so a typo
+    // fails here rather than mid-campaign on a worker thread.
+    for (const auto &[name, list] : values) {
+        const core::Axis &a = core::axis(name);
+        if (!a.grid)
+            sim::fatal("--", name, " is not a grid axis");
+        for (const std::string &v : list) {
+            core::TrainConfig probe = base;
+            a.parse(probe, v);
         }
     }
-    for (int n : nodeCounts) {
-        if (n < 1)
-            sim::fatal("node count must be positive, got ", n);
-    }
-    // Validate the platform axis up front: unknown names and GPU
-    // requests beyond a platform's capacity fail here with a clear
-    // message instead of mid-campaign on a worker thread.
-    for (const std::string &name : plats) {
-        const hw::Platform plat = hw::makePlatform(name);
-        for (int g : gpus) {
-            if (g < 1 || g > plat.topology.numGpus()) {
-                sim::fatal("platform '", name, "' has ",
-                           plat.topology.numGpus(), " GPUs; grid asks "
-                           "for ", g);
-            }
-        }
-    }
-
+    const std::vector<const core::Axis *> &grid = core::gridAxes();
     std::vector<core::TrainConfig> configs;
-    configs.reserve(plats.size() * nodeCounts.size() * modes.size() *
-                    models.size() * gpus.size() * batches.size() *
-                    methods.size() * schedulers.size() *
-                    compressors.size());
-    for (const std::string &platform : plats) {
-        for (int nodes : nodeCounts) {
-            // Without an inter-node fabric the interconnect and
-            // schedule axes cannot change anything, so the grid
-            // collapses them to a single cell at nodes == 1 (same
-            // idea as the method collapse for non-sync modes).
-            const std::vector<std::string> cellNets =
-                nodes > 1 ? nets
-                          : std::vector<std::string>{
-                                base.interconnect};
-            const std::vector<comm::NetAlgo> cellAlgos =
-                nodes > 1 ? netAlgos
-                          : std::vector<comm::NetAlgo>{base.netAlgo};
-            for (const std::string &net : cellNets) {
-                for (comm::NetAlgo algo : cellAlgos) {
-                    for (core::ParallelismMode mode : modes) {
-                        // Collectives are inherently synchronous:
-                        // the non-sync strategies always use the P2P
-                        // fabric path, so the method axis collapses
-                        // to a single column for them. Clusters
-                        // support only sync_dp, so non-sync modes
-                        // contribute nothing at nodes > 1.
-                        const bool sync =
-                            mode == core::ParallelismMode::SyncDp;
-                        if (nodes > 1 && !sync)
-                            continue;
-                        const std::vector<comm::CommMethod>
-                            cellMethods =
-                                sync ? methods
-                                     : std::vector<comm::CommMethod>{
-                                           comm::CommMethod::P2P};
-                        // The non-sync strategies bypass the
-                        // collective queue entirely, so the
-                        // scheduler axis collapses alongside the
-                        // method axis.
-                        const std::vector<comm::SchedulerPolicy>
-                            cellScheds =
-                                sync
-                                    ? schedulers
-                                    : std::vector<
-                                          comm::SchedulerPolicy>{
-                                          comm::SchedulerPolicy::
-                                              Fifo};
-                        // Compression also rides the collective
-                        // queue, so its axis collapses with the
-                        // scheduler's for non-sync modes.
-                        const std::vector<comm::Compressor>
-                            cellComps =
-                                sync ? compressors
-                                     : std::vector<comm::Compressor>{
-                                           comm::Compressor::None};
-                        // Microbatches are a stage-schedule knob:
-                        // the axis collapses for every mode without
-                        // a pipeline (sync_dp, async_ps).
-                        const bool staged =
-                            mode ==
-                                core::ParallelismMode::ModelParallel ||
-                            mode == core::ParallelismMode::Pipeline;
-                        const std::vector<int> cellUbs =
-                            staged && !microbatchCounts.empty()
-                                ? microbatchCounts
-                                : std::vector<int>{base.microbatches};
-                        for (const std::string &model : models) {
-                            for (int g : gpus) {
-                                for (int b : batches) {
-                                  for (int ub : cellUbs) {
-                                    for (comm::CommMethod m :
-                                         cellMethods) {
-                                        for (comm::SchedulerPolicy s :
-                                             cellScheds) {
-                                            for (comm::Compressor z :
-                                                 cellComps) {
-                                                core::TrainConfig
-                                                    cfg = base;
-                                                cfg.platform =
-                                                    platform;
-                                                cfg.nodes = nodes;
-                                                cfg.interconnect =
-                                                    net;
-                                                cfg.netAlgo = algo;
-                                                cfg.mode = mode;
-                                                cfg.model = model;
-                                                cfg.numGpus = g;
-                                                cfg.batchPerGpu = b;
-                                                cfg.microbatches = ub;
-                                                cfg.method = m;
-                                                cfg.commConfig
-                                                    .scheduler = s;
-                                                cfg.commConfig
-                                                    .compression = z;
-                                                configs.push_back(
-                                                    std::move(cfg));
-                                            }
-                                        }
-                                    }
-                                  }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+    const auto fill = [&](const auto &self, std::size_t level,
+                          const core::TrainConfig &cell) -> void {
+        if (level == grid.size()) {
+            cell.validate();
+            configs.push_back(cell);
+            return;
         }
-    }
+        const core::Axis &a = *grid[level];
+        if (a.applies && !a.applies(cell)) {
+            // The axis cannot matter in this cell: a single column.
+            core::TrainConfig pinned = cell;
+            if (a.collapsed)
+                a.parse(pinned, a.collapsed);
+            self(self, level + 1, pinned);
+            return;
+        }
+        const auto listed = values.find(a.name);
+        for (const std::string &v :
+             listed != values.end() ? listed->second
+             : a.gridDefault        ? core::cli::splitList(a.gridDefault)
+                                    : std::vector{a.format(base)}) {
+            core::TrainConfig next = cell;
+            a.parse(next, v);
+            if (!a.admits || a.admits(next))
+                self(self, level + 1, next);
+        }
+    };
+    fill(fill, 0, base);
     return configs;
 }
 
 std::string
 configKey(const core::TrainConfig &cfg)
 {
-    // Every field that can steer the simulation from the CLI or a
-    // campaign spec participates; two configs with equal keys must
-    // produce equal reports. %.17g keeps doubles exact.
-    const auto format = [&cfg](char *out, std::size_t size) {
-        return std::snprintf(
-            out, size,
-            "%s|plat:%s|nd%d|ic:%s|na%d|g%d|b%d|m%d|pm%d|ub%d|ai%d"
-            "|i%" PRIu64
-            "|it%d|ov%d|tc%d|ar%d|fu%.17g|au%d|disp%.17g|setup%.17g"
-            "|gpu:%s|rings%d|chunk%" PRIu64 "|eff%.17g|hop%.17g"
-            "|nfix%.17g|nset%.17g|mcpy%.17g|mq%d"
-            "|sch%d|pb%" PRIu64 "|cb%" PRIu64 "|zc%d|zr%.17g"
-            "|mm:%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-            "|wi:%.17g,%.17g,%.17g,%.17g",
-            cfg.model.c_str(), cfg.platform.c_str(), cfg.nodes,
-            cfg.interconnect.c_str(),
-            static_cast<int>(cfg.netAlgo), cfg.numGpus,
-            cfg.batchPerGpu,
-            static_cast<int>(cfg.method), static_cast<int>(cfg.mode),
-            cfg.microbatches, cfg.asyncItersPerWorker,
-            cfg.datasetImages,
-            cfg.measuredIterations, cfg.overlapBpWu ? 1 : 0,
-            cfg.useTensorCores ? 1 : 0, cfg.useAllReduce ? 1 : 0,
-            cfg.bucketFusionMB, cfg.audit ? 1 : 0,
-            cfg.engineDispatchUs,
-            cfg.setupOnceSeconds, cfg.gpuSpec.name.c_str(),
-            cfg.commConfig.ncclRings,
-            static_cast<std::uint64_t>(cfg.commConfig.ringChunkBytes),
-            cfg.commConfig.ncclLinkEfficiency,
-            cfg.commConfig.ringHopLatencyUs,
-            cfg.commConfig.ncclIterFixedUs, cfg.commConfig.ncclSetupUs,
-            cfg.commConfig.memcpyIssueUs, cfg.commConfig.maxChunks,
-            static_cast<int>(cfg.commConfig.scheduler),
-            static_cast<std::uint64_t>(cfg.commConfig.partitionBytes),
-            static_cast<std::uint64_t>(cfg.commConfig.creditBytes),
-            static_cast<int>(cfg.commConfig.compression),
-            cfg.commConfig.compressRatio,
-            cfg.memoryModel.contextGB,
-            cfg.memoryModel.activationFactor,
-            cfg.memoryModel.workspaceFactor,
-            cfg.memoryModel.cudnnPoolMBPerConv,
-            cfg.memoryModel.rootCommFactor,
-            cfg.memoryModel.datasetBuffers,
-            // What-if ablation knobs (analysis::WhatIf ground truth).
-            cfg.gpuSpec.speedupFactor, cfg.nvlinkBwScale,
-            cfg.ibBwScale, cfg.syncEntryUs);
-    };
-    char buf[768];
-    const int n = format(buf, sizeof(buf));
-    if (n < 0)
-        sim::fatal("configKey: snprintf encoding failure");
-    if (static_cast<std::size_t>(n) < sizeof(buf))
-        return std::string(buf, static_cast<std::size_t>(n));
-    // A long model/platform/GPU name overflowed the stack buffer.
-    // Retry with the exact length: a silently truncated key would
-    // make distinct configurations collide in the simulate cache and
-    // return the wrong cached report.
-    std::vector<char> big(static_cast<std::size_t>(n) + 1);
-    const int m = format(big.data(), big.size());
-    if (m != n)
-        sim::fatal("configKey: unstable snprintf length ", m, " vs ",
-                   n);
-    return std::string(big.data(), static_cast<std::size_t>(n));
+    // Raw bytes of every member; strings carry their length, so no
+    // two configs share a key unless every member is equal.
+    std::string key;
+    key.reserve(512);
+    core::visitFields(cfg, [&key](const auto &v) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                     std::string>) {
+            const std::size_t n = v.size();
+            key.append(reinterpret_cast<const char *>(&n), sizeof n);
+            key += v;
+        } else {
+            key.append(reinterpret_cast<const char *>(&v), sizeof v);
+        }
+    });
+    return key;
 }
 
 namespace {

@@ -27,84 +27,32 @@
 #include <vector>
 
 #include "campaign/record.hh"
-#include "core/train_config.hh"
+#include "core/axes.hh"
 
 namespace dgxsim::campaign {
 
-/** A grid of training configurations (the paper's sweep axes). */
+/**
+ * A grid of training configurations (the paper's sweep axes). Every
+ * grid axis of the table in core/axes.cc is swept over the values
+ * listed under its name, else its grid default (gpus 1,2,4,8; batch
+ * 16,32,64; method p2p,nccl), else the base value alone.
+ */
 struct CampaignSpec
 {
-    std::vector<std::string> models = {"resnet-50"};
-    std::vector<int> gpus = {1, 2, 4, 8};
-    std::vector<int> batches = {16, 32, 64};
-    std::vector<comm::CommMethod> methods = {comm::CommMethod::P2P,
-                                             comm::CommMethod::NCCL};
-    /**
-     * Parallelization strategies to sweep. Non-sync modes ignore the
-     * methods axis (async_ps and model_parallel use the P2P fabric
-     * path exclusively), so each contributes one configuration per
-     * (model, gpus, batch) cell instead of one per method.
-     */
-    std::vector<core::ParallelismMode> modes = {
-        core::ParallelismMode::SyncDp};
-    /**
-     * Hardware platforms to sweep (hw::platformNames). Empty means
-     * "whatever base.platform says" — the historical single-machine
-     * grid.
-     */
-    std::vector<std::string> platforms;
-    /**
-     * Cluster node counts to sweep (hw/cluster.hh). The default {1}
-     * is the historical single-box grid. Multi-node cells exist only
-     * for the sync_dp mode (the cluster substrate's constraint), so
-     * non-sync modes contribute nothing at nodes > 1.
-     */
-    std::vector<int> nodeCounts = {1};
-    /**
-     * Inter-node networks to sweep (hw::interconnectNames). Empty
-     * means "whatever base.interconnect says". The axis collapses at
-     * nodes == 1, where no inter-node fabric exists.
-     */
-    std::vector<std::string> interconnects;
-    /**
-     * Inter-node all-reduce schedules to sweep. Collapses to a
-     * single column at nodes == 1 for the same reason.
-     */
-    std::vector<comm::NetAlgo> netAlgos = {comm::NetAlgo::Ring};
-    /**
-     * Gradient-bucket schedulers to sweep (comm/scheduler.hh). The
-     * default {Fifo} is the historical per-layer queue. Non-sync
-     * modes never issue collectives, so the axis collapses to a
-     * single fifo column for them.
-     */
-    std::vector<comm::SchedulerPolicy> schedulers = {
-        comm::SchedulerPolicy::Fifo};
-    /**
-     * Gradient compressors to sweep (comm/compression.hh). The
-     * default {None} is the historical raw-fp32 wire. Non-sync modes
-     * never issue collectives, so the axis collapses to a single
-     * none column for them, like the scheduler axis.
-     */
-    std::vector<comm::Compressor> compressors = {
-        comm::Compressor::None};
-    /**
-     * Microbatch counts to sweep (pipeline depth). Empty means
-     * "whatever base.microbatches says" — 0 there selects numGpus.
-     * Only the stage-scheduled modes (model_parallel, pipeline)
-     * have microbatches, so the axis collapses to a single column
-     * for every other mode.
-     */
-    std::vector<int> microbatchCounts;
-    /** Template for every non-grid knob (images, overlap, ...). */
+    /** Swept values per grid axis name, e.g. {"gpus", {"1", "2"}}. */
+    core::AxisValues values;
+    /** Template for every knob the grid does not sweep. */
     core::TrainConfig base;
 
     /**
-     * @return the grid expanded to configurations in deterministic
-     * platform-major order: platform, then nodes, then interconnect,
-     * then net algo, then mode, then model, then gpus, then batch,
-     * then microbatches, then method, then scheduler, then
-     * compressor. Fatal when a platform or interconnect is unknown
-     * or a platform has fewer GPUs than the gpus axis requests.
+     * @return the grid expanded in deterministic order: axes nest by
+     * grid rank — platform, nodes, interconnect, net algo, mode,
+     * model, gpus, batch, microbatches, method, scheduler,
+     * compressor — with the table's collapse rules pinning an axis
+     * that cannot matter in a cell (e.g. method in non-sync modes)
+     * and dropping cells the substrate cannot run. Fatal when a
+     * listed value does not parse or a cell fails
+     * TrainConfig::validate().
      */
     std::vector<core::TrainConfig> expand() const;
 };
@@ -151,8 +99,9 @@ void setSimulationCacheLimit(std::size_t max_entries);
 void trimSimulationCache();
 
 /**
- * @return a cache/identity key covering every TrainConfig field that
- * can change simulation results through the CLI or campaign specs.
+ * @return a cache/identity key covering every member of the config,
+ * its GpuSpec, CommConfig and MemoryModel (core::visitFields):
+ * configs with equal keys are identical.
  */
 std::string configKey(const core::TrainConfig &cfg);
 

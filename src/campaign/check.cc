@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <set>
 
 #include "campaign/campaign.hh"
 #include "core/text_table.hh"
@@ -103,6 +104,28 @@ checkAgainstBaseline(const std::vector<RunRecord> &baseline,
     const std::vector<RunRecord> fresh =
         runCampaign(configs, options.jobs);
     return compareRecords(baseline, fresh, options);
+}
+
+std::vector<RunRecord>
+selectRecords(std::vector<RunRecord> records,
+              const core::AxisValues &filters)
+{
+    for (const auto &[name, list] : filters) {
+        const core::Axis &a = core::axis(name);
+        // Compare canonical spellings: parse, then format.
+        std::set<std::string> wanted;
+        for (const std::string &v : list) {
+            core::TrainConfig cfg;
+            a.parse(cfg, v);
+            wanted.insert(a.format(cfg));
+        }
+        std::erase_if(records, [&](const RunRecord &r) {
+            core::TrainConfig cfg;
+            a.load(r, cfg);
+            return !wanted.count(a.format(cfg));
+        });
+    }
+    return records;
 }
 
 std::string

@@ -81,6 +81,15 @@ CheckReport compareRecords(const std::vector<RunRecord> &baseline,
                            const std::vector<RunRecord> &fresh,
                            const CheckOptions &options);
 
+/**
+ * @return the records whose value on every axis named in @p filters
+ * is one of the listed values (spelled any way the axis parses, so
+ * "--mode mp" selects model_parallel records). An empty @p filters
+ * keeps every record.
+ */
+std::vector<RunRecord> selectRecords(std::vector<RunRecord> records,
+                                     const core::AxisValues &filters);
+
 } // namespace dgxsim::campaign
 
 #endif // DGXSIM_CAMPAIGN_CHECK_HH

@@ -1,12 +1,14 @@
 #include "campaign/record.hh"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
+#include <variant>
 
 #include "campaign/json.hh"
-#include "comm/factory.hh"
-#include "hw/platform.hh"
 #include "sim/logging.hh"
 
 namespace dgxsim::campaign {
@@ -19,14 +21,6 @@ fmtDouble(double v)
 {
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-fmtU64(std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
     return buf;
 }
 
@@ -102,15 +96,160 @@ csvEscape(const std::string &s)
     return out;
 }
 
-std::uint64_t
-u64At(const JsonValue &obj, const std::string &key)
+using Member =
+    std::variant<std::string RunRecord::*, bool RunRecord::*,
+                 int RunRecord::*, std::uint64_t RunRecord::*,
+                 double RunRecord::*>;
+
+enum class Style { Key, Json, Csv };
+
+/** @return member @p m of @p r spelled for key(), JSON or CSV. */
+template <Style S>
+std::string
+spell(const RunRecord &r, auto m)
 {
-    // Our integral fields fit in a double's 53-bit mantissa (bytes,
-    // iteration counts); digests travel as hex strings instead.
-    const double v = obj.numberAt(key);
-    if (v < 0)
-        sim::fatal("JSON member '", key, "' is negative");
-    return static_cast<std::uint64_t>(v);
+    const auto &v = r.*m;
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, std::string>)
+        return S == Style::Json  ? '"' + jsonEscape(v) + '"'
+               : S == Style::Csv ? csvEscape(v)
+                                 : v;
+    else if constexpr (std::is_same_v<T, bool>)
+        return S == Style::Csv ? (v ? "1" : "0") : v ? "true" : "false";
+    else if constexpr (std::is_same_v<T, double>)
+        return fmtDouble(v);
+    else
+        return std::to_string(v);
+}
+
+// When JSON carries the conditional outcome fields.
+constexpr auto multiNode = [](const RunRecord &r) { return r.nodes > 1; };
+constexpr auto asyncMode = [](const RunRecord &r) {
+    return core::parseParallelismMode(r.mode) ==
+           core::ParallelismMode::AsyncPs;
+};
+constexpr auto stagedMode = [](const RunRecord &r) {
+    return core::isStaged(core::parseParallelismMode(r.mode));
+};
+constexpr auto analyzed = [](const RunRecord &r) { return r.hasAnalysis; };
+constexpr auto analyzedMultiNode = [](const RunRecord &r) {
+    return r.hasAnalysis && r.nodes > 1;
+};
+
+/** One record member as JSON and CSV carry it; the digest, written
+ * last as hex, is not one. */
+struct Field
+{
+    const char *json;
+    Member member;
+    /** JSON carries it only when this holds; nullptr: always. */
+    bool (*when)(const RunRecord &) = nullptr;
+    /** JSON starts a new line after it. */
+    bool lineEnd = false;
+    bool csv = false;
+    /** The axis of a recorded axis, whose emit rule applies. */
+    const core::Axis *axis = nullptr;
+
+    bool
+    inJson(const RunRecord &r) const
+    {
+        return axis ? !axis->withOutcome && axis->emits(r)
+                    : !when || when(r);
+    }
+    bool required() const { return axis ? !axis->emit : !when; }
+};
+
+/** The outcome fields, in JSON order after the axes. */
+const Field kOutcomes[] = {
+    {"oom", &RunRecord::oom, nullptr, false, true},
+    {"iterations", &RunRecord::iterations, nullptr, false, true},
+    {"epoch_s", &RunRecord::epochSeconds, nullptr, false, true},
+    {"iteration_s", &RunRecord::iterationSeconds, nullptr, true, true},
+    {"setup_s", &RunRecord::setupSeconds, nullptr, false, true},
+    {"fpbp_s", &RunRecord::fpBpSeconds, nullptr, false, true},
+    {"wu_s", &RunRecord::wuSeconds, nullptr, true, true},
+    {"sync_api_fraction", &RunRecord::syncApiFraction, nullptr, false,
+     true},
+    {"inter_gpu_bytes_per_iter", &RunRecord::interGpuBytesPerIter,
+     nullptr, true, true},
+    {"inter_node_bytes_per_iter", &RunRecord::interNodeBytesPerIter,
+     multiNode, true, true},
+    {"throughput_img_s", &RunRecord::throughputImagesPerSec, asyncMode},
+    {"avg_staleness", &RunRecord::avgStaleness, asyncMode},
+    {"max_staleness", &RunRecord::maxStaleness, asyncMode, true},
+    // The microbatches axis rides with its stage outcome in JSON.
+    {"microbatches", &RunRecord::microbatches, stagedMode},
+    {"bubble_fraction", &RunRecord::bubbleFraction, stagedMode, true},
+    {"cp_compute_s", &RunRecord::cpComputeSeconds, analyzed},
+    {"cp_comm_s", &RunRecord::cpCommSeconds, analyzed},
+    {"cp_inter_node_comm_s", &RunRecord::cpInterNodeCommSeconds,
+     analyzedMultiNode},
+    {"cp_api_s", &RunRecord::cpApiSeconds, analyzed},
+    {"cp_idle_s", &RunRecord::cpIdleSeconds, analyzed, true},
+    {"mem_pre_bytes", &RunRecord::preTrainingBytes, nullptr, false, true},
+    {"mem_gpu0_bytes", &RunRecord::gpu0TrainingBytes, nullptr, false,
+     true},
+    {"mem_gpux_bytes", &RunRecord::gpuxTrainingBytes, nullptr, true,
+     true},
+};
+
+/** @return every record field: the recorded axes of the axis table,
+ * in its order, then the outcome. */
+const std::vector<Field> &
+fields()
+{
+    static const std::vector<Field> all = [] {
+        std::vector<Field> out;
+        for (const core::Axis *a : core::axes()) {
+            std::visit(
+                [&](auto m) {
+                    if constexpr (!std::is_same_v<decltype(m),
+                                                  std::monostate>)
+                        out.push_back({a->json, m, nullptr, false, true, a});
+                },
+                a->field);
+        }
+        // The axes fill the first JSON line; images always ends it.
+        out.back().lineEnd = true;
+        out.insert(out.end(), std::begin(kOutcomes), std::end(kOutcomes));
+        return out;
+    }();
+    return all;
+}
+
+void
+read(const JsonValue &v, const char *name, auto &out)
+{
+    using T = std::decay_t<decltype(out)>;
+    if constexpr (std::is_same_v<T, std::string>) {
+        out = v.asString();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        out = v.asBool();
+    } else {
+        // Our integral fields fit in a double's 53-bit mantissa
+        // (bytes, iteration counts); digests travel as hex strings.
+        const double d = v.asNumber();
+        using Lim = std::numeric_limits<T>;
+        if (Lim::is_integer &&
+            !(d >= Lim::min() && d < std::ldexp(1.0, Lim::digits)))
+            sim::fatal("JSON member '", name, "' is out of range: ", d);
+        out = static_cast<T>(d);
+    }
+}
+
+RunRecord
+readRecord(const JsonValue &obj)
+{
+    RunRecord r;
+    for (const Field &f : fields()) {
+        if (const JsonValue *v = obj.find(f.json))
+            std::visit([&](auto m) { read(*v, f.json, r.*m); }, f.member);
+        else if (f.required())
+            obj.at(f.json); // fatal, naming the missing member
+    }
+    r.hasAnalysis = obj.find("cp_compute_s") != nullptr;
+    r.digest = parseHex64(obj.stringAt("digest"));
+    return r;
 }
 
 } // namespace
@@ -118,37 +257,21 @@ u64At(const JsonValue &obj, const std::string &key)
 std::string
 RunRecord::key() const
 {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%s x%d b%d %s i%" PRIu64,
-                  model.c_str(), gpus, batch, method.c_str(), images);
-    std::string out = buf;
-    // Pre-mode baselines never carried the mode, so sync_dp keys stay
-    // as they were; ditto the default platform.
-    if (mode != "sync_dp")
-        out += " " + mode;
-    // Microbatches join the key only off their historical default
-    // (== gpus): every model_parallel baseline row predating the
-    // microbatch axis ran exactly gpus microbatches, so those keys
-    // stay as they were.
-    if ((mode == "model_parallel" || mode == "pipeline") &&
-        microbatches > 0 && microbatches != gpus)
-        out += " ub" + std::to_string(microbatches);
-    if (platform != hw::kDefaultPlatform)
-        out += " " + platform;
-    // Single-node baselines never carried the cluster axes.
-    if (nodes > 1) {
-        out += " n" + std::to_string(nodes) + " " + interconnect +
-               " " + netAlgo;
+    // The always-carried axes lead; the optional ones follow in
+    // table order, each only when its emit rule holds.
+    std::string out;
+    for (bool optional : {false, true}) {
+        for (const Field &f : fields()) {
+            if (!f.axis || (f.axis->emit != nullptr) != optional ||
+                !f.axis->emits(*this))
+                continue;
+            out += out.empty() ? "" : " ";
+            out += f.axis->keyPrefix;
+            out += std::visit(
+                [&](auto m) { return spell<Style::Key>(*this, m); },
+                f.member);
+        }
     }
-    // Pre-scheduler baselines never carried the scheduler axes.
-    if (scheduler != "fifo") {
-        out += " " + scheduler + " pb" +
-               std::to_string(partitionBytes) + " cb" +
-               std::to_string(creditBytes);
-    }
-    // Pre-compression baselines never carried the compression axes.
-    if (compression != "none")
-        out += " " + compression + " r" + fmtDouble(compressRatio);
     return out;
 }
 
@@ -156,22 +279,8 @@ core::TrainConfig
 RunRecord::toConfig() const
 {
     core::TrainConfig cfg;
-    cfg.model = model;
-    cfg.numGpus = gpus;
-    cfg.batchPerGpu = batch;
-    cfg.method = comm::parseCommMethod(method);
-    cfg.mode = core::parseParallelismMode(mode);
-    cfg.platform = platform;
-    cfg.nodes = nodes;
-    cfg.interconnect = interconnect;
-    cfg.netAlgo = comm::parseNetAlgo(netAlgo);
-    cfg.commConfig.scheduler = comm::parseScheduler(scheduler);
-    cfg.commConfig.partitionBytes = partitionBytes;
-    cfg.commConfig.creditBytes = creditBytes;
-    cfg.commConfig.compression = comm::parseCompressor(compression);
-    cfg.commConfig.compressRatio = compressRatio;
-    cfg.microbatches = microbatches;
-    cfg.datasetImages = images;
+    for (const core::Axis *a : core::axes())
+        a->load(*this, cfg);
     return cfg;
 }
 
@@ -179,23 +288,11 @@ RunRecord
 recordFromReport(const core::TrainReport &report)
 {
     RunRecord r;
-    r.model = report.config.model;
-    r.gpus = report.config.numGpus;
-    r.batch = report.config.batchPerGpu;
-    r.method = comm::commMethodName(report.config.method);
-    r.mode = core::parallelismModeName(report.config.mode);
-    r.platform = report.config.platform;
-    r.nodes = report.config.nodes;
-    r.interconnect = report.config.interconnect;
-    r.netAlgo = comm::netAlgoName(report.config.netAlgo);
-    r.scheduler =
-        comm::schedulerName(report.config.commConfig.scheduler);
-    r.partitionBytes = report.config.commConfig.partitionBytes;
-    r.creditBytes = report.config.commConfig.creditBytes;
-    r.compression =
-        comm::compressorName(report.config.commConfig.compression);
-    r.compressRatio = report.config.commConfig.compressRatio;
-    r.images = report.config.datasetImages;
+    for (const core::Axis *a : core::axes())
+        a->store(report.config, r);
+    // Staged runs record the depth they ran, not the 0 that selects
+    // numGpus.
+    r.microbatches = report.microbatches;
     r.oom = report.oom;
     r.iterations = report.iterations;
     r.epochSeconds = report.epochSeconds;
@@ -213,7 +310,6 @@ recordFromReport(const core::TrainReport &report)
     r.throughputImagesPerSec = report.throughputImagesPerSec;
     r.avgStaleness = report.avgStaleness;
     r.maxStaleness = report.maxStaleness;
-    r.microbatches = report.microbatches;
     r.bubbleFraction = report.bubbleFraction;
     return r;
 }
@@ -224,98 +320,18 @@ recordsToJson(const std::vector<RunRecord> &records)
     std::string out = "{\n  \"version\": 1,\n  \"records\": [";
     for (std::size_t i = 0; i < records.size(); ++i) {
         const RunRecord &r = records[i];
-        out += i == 0 ? "\n" : ",\n";
-        out += "    {";
-        out += "\"model\": \"" + jsonEscape(r.model) + "\", ";
-        out += "\"gpus\": " + std::to_string(r.gpus) + ", ";
-        out += "\"batch\": " + std::to_string(r.batch) + ", ";
-        out += "\"method\": \"" + jsonEscape(r.method) + "\", ";
-        // sync_dp omits the mode so pre-mode baselines stay
-        // byte-identical; same for the default platform.
-        if (r.mode != "sync_dp")
-            out += "\"mode\": \"" + jsonEscape(r.mode) + "\", ";
-        if (r.platform != hw::kDefaultPlatform)
-            out += "\"platform\": \"" + jsonEscape(r.platform) +
-                   "\", ";
-        // Cluster axes only when multi-node: single-node baselines
-        // predate clusters and must stay byte-identical.
-        if (r.nodes > 1) {
-            out += "\"nodes\": " + std::to_string(r.nodes) + ", ";
-            out += "\"interconnect\": \"" +
-                   jsonEscape(r.interconnect) + "\", ";
-            out += "\"net_algo\": \"" + jsonEscape(r.netAlgo) +
-                   "\", ";
+        out += i == 0 ? "\n    {" : ",\n    {";
+        for (const Field &f : fields()) {
+            if (!f.inJson(r))
+                continue;
+            out += '"';
+            out += f.json;
+            out += "\": ";
+            out += std::visit(
+                [&](auto m) { return spell<Style::Json>(r, m); },
+                f.member);
+            out += f.lineEnd ? ",\n     " : ", ";
         }
-        // Scheduler axes only when not fifo: every baseline written
-        // before the scheduler existed must stay byte-identical.
-        if (r.scheduler != "fifo") {
-            out += "\"scheduler\": \"" + jsonEscape(r.scheduler) +
-                   "\", ";
-            out += "\"partition_bytes\": " +
-                   fmtU64(r.partitionBytes) + ", ";
-            out += "\"credit_bytes\": " + fmtU64(r.creditBytes) +
-                   ", ";
-        }
-        // Compression axes only when not none: every baseline written
-        // before the compressor existed must stay byte-identical.
-        if (r.compression != "none") {
-            out += "\"compression\": \"" + jsonEscape(r.compression) +
-                   "\", ";
-            out += "\"compress_ratio\": " +
-                   fmtDouble(r.compressRatio) + ", ";
-        }
-        out += "\"images\": " + fmtU64(r.images) + ",\n     ";
-        out += "\"oom\": " + std::string(r.oom ? "true" : "false") +
-               ", ";
-        out += "\"iterations\": " + fmtU64(r.iterations) + ", ";
-        out += "\"epoch_s\": " + fmtDouble(r.epochSeconds) + ", ";
-        out += "\"iteration_s\": " + fmtDouble(r.iterationSeconds) +
-               ",\n     ";
-        out += "\"setup_s\": " + fmtDouble(r.setupSeconds) + ", ";
-        out += "\"fpbp_s\": " + fmtDouble(r.fpBpSeconds) + ", ";
-        out += "\"wu_s\": " + fmtDouble(r.wuSeconds) + ",\n     ";
-        out += "\"sync_api_fraction\": " +
-               fmtDouble(r.syncApiFraction) + ", ";
-        out += "\"inter_gpu_bytes_per_iter\": " +
-               fmtDouble(r.interGpuBytesPerIter) + ",\n     ";
-        if (r.nodes > 1) {
-            out += "\"inter_node_bytes_per_iter\": " +
-                   fmtDouble(r.interNodeBytesPerIter) + ",\n     ";
-        }
-        if (r.mode == "async_ps") {
-            out += "\"throughput_img_s\": " +
-                   fmtDouble(r.throughputImagesPerSec) + ", ";
-            out += "\"avg_staleness\": " +
-                   fmtDouble(r.avgStaleness) + ", ";
-            out += "\"max_staleness\": " +
-                   std::to_string(r.maxStaleness) + ",\n     ";
-        } else if (r.mode == "model_parallel" ||
-                   r.mode == "pipeline") {
-            out += "\"microbatches\": " +
-                   std::to_string(r.microbatches) + ", ";
-            out += "\"bubble_fraction\": " +
-                   fmtDouble(r.bubbleFraction) + ",\n     ";
-        }
-        if (r.hasAnalysis) {
-            out += "\"cp_compute_s\": " +
-                   fmtDouble(r.cpComputeSeconds) + ", ";
-            out += "\"cp_comm_s\": " + fmtDouble(r.cpCommSeconds) +
-                   ", ";
-            if (r.nodes > 1) {
-                out += "\"cp_inter_node_comm_s\": " +
-                       fmtDouble(r.cpInterNodeCommSeconds) + ", ";
-            }
-            out += "\"cp_api_s\": " + fmtDouble(r.cpApiSeconds) +
-                   ", ";
-            out += "\"cp_idle_s\": " + fmtDouble(r.cpIdleSeconds) +
-                   ",\n     ";
-        }
-        out += "\"mem_pre_bytes\": " + fmtU64(r.preTrainingBytes) +
-               ", ";
-        out += "\"mem_gpu0_bytes\": " + fmtU64(r.gpu0TrainingBytes) +
-               ", ";
-        out += "\"mem_gpux_bytes\": " + fmtU64(r.gpuxTrainingBytes) +
-               ",\n     ";
         out += "\"digest\": \"" + fmtHex64(r.digest) + "\"}";
     }
     out += records.empty() ? "]\n}\n" : "\n  ]\n}\n";
@@ -331,114 +347,29 @@ recordsFromJson(const std::string &text)
         sim::fatal("unsupported results version ", version,
                    " (this build reads version 1)");
     std::vector<RunRecord> records;
-    for (const JsonValue &v : doc.at("records").asArray()) {
-        RunRecord r;
-        r.model = v.stringAt("model");
-        r.gpus = static_cast<int>(v.numberAt("gpus"));
-        r.batch = static_cast<int>(v.numberAt("batch"));
-        r.method = v.stringAt("method");
-        if (const JsonValue *m = v.find("mode"))
-            r.mode = m->asString();
-        if (const JsonValue *p = v.find("platform"))
-            r.platform = p->asString();
-        if (const JsonValue *n = v.find("nodes"))
-            r.nodes = static_cast<int>(n->asNumber());
-        if (const JsonValue *ic = v.find("interconnect"))
-            r.interconnect = ic->asString();
-        if (const JsonValue *na = v.find("net_algo"))
-            r.netAlgo = na->asString();
-        if (const JsonValue *s = v.find("scheduler")) {
-            r.scheduler = s->asString();
-            r.partitionBytes = u64At(v, "partition_bytes");
-            r.creditBytes = u64At(v, "credit_bytes");
-        }
-        if (const JsonValue *z = v.find("compression")) {
-            r.compression = z->asString();
-            r.compressRatio = v.numberAt("compress_ratio");
-        }
-        r.images = u64At(v, "images");
-        r.oom = v.boolAt("oom");
-        r.iterations = u64At(v, "iterations");
-        r.epochSeconds = v.numberAt("epoch_s");
-        r.iterationSeconds = v.numberAt("iteration_s");
-        r.setupSeconds = v.numberAt("setup_s");
-        r.fpBpSeconds = v.numberAt("fpbp_s");
-        r.wuSeconds = v.numberAt("wu_s");
-        r.syncApiFraction = v.numberAt("sync_api_fraction");
-        r.interGpuBytesPerIter =
-            v.numberAt("inter_gpu_bytes_per_iter");
-        if (const JsonValue *ib = v.find("inter_node_bytes_per_iter"))
-            r.interNodeBytesPerIter = ib->asNumber();
-        r.preTrainingBytes = u64At(v, "mem_pre_bytes");
-        r.gpu0TrainingBytes = u64At(v, "mem_gpu0_bytes");
-        r.gpuxTrainingBytes = u64At(v, "mem_gpux_bytes");
-        r.digest = parseHex64(v.stringAt("digest"));
-        if (const JsonValue *t = v.find("throughput_img_s"))
-            r.throughputImagesPerSec = t->asNumber();
-        if (const JsonValue *s = v.find("avg_staleness"))
-            r.avgStaleness = s->asNumber();
-        if (const JsonValue *s = v.find("max_staleness"))
-            r.maxStaleness = static_cast<int>(s->asNumber());
-        if (const JsonValue *u = v.find("microbatches"))
-            r.microbatches = static_cast<int>(u->asNumber());
-        if (const JsonValue *bf = v.find("bubble_fraction"))
-            r.bubbleFraction = bf->asNumber();
-        if (const JsonValue *cp = v.find("cp_compute_s")) {
-            r.hasAnalysis = true;
-            r.cpComputeSeconds = cp->asNumber();
-            r.cpCommSeconds = v.numberAt("cp_comm_s");
-            if (const JsonValue *in = v.find("cp_inter_node_comm_s"))
-                r.cpInterNodeCommSeconds = in->asNumber();
-            r.cpApiSeconds = v.numberAt("cp_api_s");
-            r.cpIdleSeconds = v.numberAt("cp_idle_s");
-        }
-        records.push_back(std::move(r));
-    }
+    for (const JsonValue &v : doc.at("records").asArray())
+        records.push_back(readRecord(v));
     return records;
 }
 
 std::string
 recordsToCsv(const std::vector<RunRecord> &records)
 {
-    std::string out =
-        "model,gpus,batch,method,mode,platform,nodes,interconnect,"
-        "net_algo,scheduler,partition_bytes,credit_bytes,"
-        "compression,compress_ratio,"
-        "images,oom,iterations,"
-        "epoch_s,"
-        "iteration_s,setup_s,fpbp_s,wu_s,sync_api_fraction,"
-        "inter_gpu_bytes_per_iter,inter_node_bytes_per_iter,"
-        "mem_pre_bytes,mem_gpu0_bytes,"
-        "mem_gpux_bytes,digest\n";
+    std::string out;
+    for (const Field &f : fields()) {
+        if (f.csv)
+            out += std::string(f.json) + ",";
+    }
+    out += "digest\n";
     for (const RunRecord &r : records) {
-        out += csvEscape(r.model) + ",";
-        out += std::to_string(r.gpus) + ",";
-        out += std::to_string(r.batch) + ",";
-        out += csvEscape(r.method) + ",";
-        out += csvEscape(r.mode) + ",";
-        out += csvEscape(r.platform) + ",";
-        out += std::to_string(r.nodes) + ",";
-        out += csvEscape(r.interconnect) + ",";
-        out += csvEscape(r.netAlgo) + ",";
-        out += csvEscape(r.scheduler) + ",";
-        out += fmtU64(r.partitionBytes) + ",";
-        out += fmtU64(r.creditBytes) + ",";
-        out += csvEscape(r.compression) + ",";
-        out += fmtDouble(r.compressRatio) + ",";
-        out += fmtU64(r.images) + ",";
-        out += std::string(r.oom ? "1" : "0") + ",";
-        out += fmtU64(r.iterations) + ",";
-        out += fmtDouble(r.epochSeconds) + ",";
-        out += fmtDouble(r.iterationSeconds) + ",";
-        out += fmtDouble(r.setupSeconds) + ",";
-        out += fmtDouble(r.fpBpSeconds) + ",";
-        out += fmtDouble(r.wuSeconds) + ",";
-        out += fmtDouble(r.syncApiFraction) + ",";
-        out += fmtDouble(r.interGpuBytesPerIter) + ",";
-        out += fmtDouble(r.interNodeBytesPerIter) + ",";
-        out += fmtU64(r.preTrainingBytes) + ",";
-        out += fmtU64(r.gpu0TrainingBytes) + ",";
-        out += fmtU64(r.gpuxTrainingBytes) + ",";
+        for (const Field &f : fields()) {
+            if (f.csv) {
+                out += std::visit(
+                    [&](auto m) { return spell<Style::Csv>(r, m); },
+                    f.member);
+                out += ',';
+            }
+        }
         out += fmtHex64(r.digest) + "\n";
     }
     return out;

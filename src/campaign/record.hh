@@ -23,64 +23,21 @@
 #include <string>
 #include <vector>
 
+#include "core/axes.hh"
 #include "core/report.hh"
-#include "core/train_config.hh"
 
 namespace dgxsim::campaign {
 
-/** Flattened, serializable result of one training simulation. */
-struct RunRecord
+/**
+ * Flattened, serializable result of one training simulation: the
+ * recorded configuration axes (core::AxisRow, one member per record
+ * row of the axis table in core/axes.cc) plus the outcome. key(),
+ * JSON and CSV carry an axis per the table's emit rule: an axis
+ * added after the first baselines is written only off its default,
+ * so older baselines stay byte-identical.
+ */
+struct RunRecord : core::AxisRow
 {
-    // --- configuration axes (enough to re-run the simulation) ---
-    std::string model;
-    int gpus = 1;
-    int batch = 16;
-    /** "p2p" or "nccl" (comm::commMethodName). */
-    std::string method = "nccl";
-    /**
-     * Parallelization strategy (core::parallelismModeName). JSON and
-     * key() omit it for "sync_dp" so pre-mode baselines stay
-     * byte-identical.
-     */
-    std::string mode = "sync_dp";
-    /**
-     * Hardware platform (hw::platformNames). JSON and key() omit it
-     * for the default "dgx1v" so pre-platform baselines stay
-     * byte-identical.
-     */
-    std::string platform = "dgx1v";
-    /**
-     * Cluster nodes (hw/cluster.hh). JSON, CSV and key() carry the
-     * cluster axes (nodes, interconnect, net algo) only when
-     * nodes > 1 so every single-node baseline stays byte-identical.
-     */
-    int nodes = 1;
-    /** Inter-node network registry name (nodes > 1 only). */
-    std::string interconnect = "ib100";
-    /** Inter-node all-reduce schedule, "ring" or "tree". */
-    std::string netAlgo = "ring";
-    /**
-     * Gradient-bucket scheduler (comm::schedulerName). JSON and
-     * key() carry the scheduler axes (scheduler, partition_bytes,
-     * credit_bytes) only when the scheduler is not "fifo" so every
-     * pre-scheduler baseline stays byte-identical.
-     */
-    std::string scheduler = "fifo";
-    /** Partitioned-chunk size (serialized for non-fifo only). */
-    std::uint64_t partitionBytes = comm::kDefaultPartitionBytes;
-    /** Priority credit window (serialized for non-fifo only). */
-    std::uint64_t creditBytes = comm::kDefaultCreditBytes;
-    /**
-     * Gradient compressor (comm::compressorName). JSON and key()
-     * carry the compression axes (compression, compress_ratio) only
-     * when the compressor is not "none" so every pre-compression
-     * baseline stays byte-identical.
-     */
-    std::string compression = "none";
-    /** Kept-element fraction (serialized for non-none only). */
-    double compressRatio = 0.01;
-    std::uint64_t images = 256000;
-
     // --- outcome ---
     bool oom = false;
     std::uint64_t iterations = 0;
@@ -107,8 +64,8 @@ struct RunRecord
     double avgStaleness = 0;
     int maxStaleness = 0;
 
-    // --- model_parallel-only metrics (serialized only for that mode) ---
-    int microbatches = 0;
+    // --- staged-mode metrics (serialized only for those modes, with
+    // the microbatches axis) ---
     double bubbleFraction = 0;
 
     // --- critical-path analysis (analysis::Dag), attached only when
@@ -126,8 +83,9 @@ struct RunRecord
     double cpIdleSeconds = 0;
 
     /**
-     * @return "model x gpus b batch method" — the identity of the
-     * configuration, used to match baseline and fresh records.
+     * @return "model xGPUS bBATCH method iIMAGES" plus every emitted
+     * optional axis — the identity of the configuration, used to
+     * match baseline and fresh records.
      */
     std::string key() const;
 
@@ -155,7 +113,8 @@ std::string recordsToJson(const std::vector<RunRecord> &records);
  */
 std::vector<RunRecord> recordsFromJson(const std::string &text);
 
-/** @return the records as CSV with a header row. Deterministic. */
+/** @return the records as CSV with a header row: every recorded axis,
+ * then the outcome. Deterministic. */
 std::string recordsToCsv(const std::vector<RunRecord> &records);
 
 /** Write @p text to @p path (fatal on I/O failure). */

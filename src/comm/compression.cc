@@ -64,7 +64,7 @@ parseCompressor(const std::string &name)
     }
     sim::fatal("unknown compressor '", name, "'",
                sim::didYouMean(name, compressorNames()),
-               " (run `dgxprof compressors`)");
+               " (run `dgxprof list compressors`)");
 }
 
 namespace {

@@ -42,7 +42,7 @@ enum class Compressor
     OneBit,    ///< 1-bit SGD: 1 bit/element + two cluster centroids
 };
 
-/** One registry row, for `dgxprof compressors`. */
+/** One registry row, for `dgxprof list compressors`. */
 struct CompressorInfo
 {
     Compressor comp;

@@ -58,7 +58,7 @@ parseScheduler(const std::string &name)
     }
     sim::fatal("unknown scheduler '", name, "'",
                sim::didYouMean(name, schedulerNames()),
-               " (run `dgxprof schedulers`)");
+               " (run `dgxprof list schedulers`)");
 }
 
 void

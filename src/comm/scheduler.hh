@@ -77,7 +77,7 @@ const char *schedulerName(SchedulerPolicy policy);
 /** Parse a scheduler name (fatal with a did-you-mean otherwise). */
 SchedulerPolicy parseScheduler(const std::string &name);
 
-/** One registry row, for `dgxprof schedulers`. */
+/** One registry row, for `dgxprof list schedulers`. */
 struct SchedulerInfo
 {
     SchedulerPolicy policy;

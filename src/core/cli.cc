@@ -1,13 +1,11 @@
 #include "core/cli.hh"
 
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 
-#include "comm/compression.hh"
-#include "comm/scheduler.hh"
-#include "hw/cluster.hh"
-#include "hw/platform.hh"
 #include "sim/logging.hh"
-#include "sim/suggest.hh"
 
 namespace dgxsim::core::cli {
 
@@ -58,10 +56,13 @@ Args::getInt(const std::string &name, int fallback) const
     if (it == opts_.end())
         return fallback;
     char *end = nullptr;
+    errno = 0;
     const long value = std::strtol(it->second.c_str(), &end, 10);
     if (end == it->second.c_str() || *end != '\0')
         sim::fatal("--", name, " expects an integer, got '",
                    it->second, "'");
+    if (errno == ERANGE || value < INT_MIN || value > INT_MAX)
+        sim::fatal("--", name, " ", it->second, " is out of range");
     return static_cast<int>(value);
 }
 
@@ -79,60 +80,24 @@ Args::getDouble(const std::string &name, double fallback) const
     return value;
 }
 
-std::uint64_t
-Args::getBytes(const std::string &name, std::uint64_t fallback) const
-{
-    auto it = opts_.find(name);
-    if (it == opts_.end())
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(it->second.c_str(), &end, 10);
-    std::uint64_t scale = 1;
-    if (*end == 'k' || *end == 'K')
-        scale = std::uint64_t(1) << 10, ++end;
-    else if (*end == 'm' || *end == 'M')
-        scale = std::uint64_t(1) << 20, ++end;
-    else if (*end == 'g' || *end == 'G')
-        scale = std::uint64_t(1) << 30, ++end;
-    if (end == it->second.c_str() || *end != '\0') {
-        sim::fatal("--", name,
-                   " expects a byte count (optionally with a k/m/g "
-                   "suffix), got '",
-                   it->second, "'");
-    }
-    return static_cast<std::uint64_t>(value) * scale;
-}
-
 std::vector<int>
 Args::getIntList(const std::string &name,
                  const std::vector<int> &fallback) const
 {
-    auto it = opts_.find(name);
-    if (it == opts_.end())
+    if (!has(name))
         return fallback;
     std::vector<int> out;
-    std::string item;
-    for (char c : it->second + ",") {
-        if (c == ',') {
-            if (!item.empty()) {
-                char *end = nullptr;
-                const long v = std::strtol(item.c_str(), &end, 10);
-                if (end == item.c_str() || *end != '\0') {
-                    sim::fatal("--", name,
-                               " expects comma-separated integers, "
-                               "got '",
-                               it->second, "'");
-                }
-                out.push_back(static_cast<int>(v));
-                item.clear();
-            }
-        } else {
-            item.push_back(c);
+    for (const std::string &item : getList(name, {})) {
+        char *end = nullptr;
+        errno = 0;
+        const long v = std::strtol(item.c_str(), &end, 10);
+        if (end == item.c_str() || *end != '\0' || errno == ERANGE ||
+            v < INT_MIN || v > INT_MAX) {
+            sim::fatal("--", name, " expects comma-separated integers, "
+                       "got '", get(name), "'");
         }
+        out.push_back(static_cast<int>(v));
     }
-    if (out.empty())
-        sim::fatal("--", name, " expects at least one value");
     return out;
 }
 
@@ -140,118 +105,25 @@ std::vector<std::string>
 Args::getList(const std::string &name,
               const std::vector<std::string> &fallback) const
 {
-    auto it = opts_.find(name);
-    if (it == opts_.end())
+    if (!has(name))
         return fallback;
-    std::vector<std::string> out;
-    std::string item;
-    for (char c : it->second + ",") {
-        if (c == ',') {
-            if (!item.empty()) {
-                out.push_back(item);
-                item.clear();
-            }
-        } else {
-            item.push_back(c);
-        }
-    }
+    std::vector<std::string> out = splitList(get(name));
     if (out.empty())
         sim::fatal("--", name, " expects at least one value");
     return out;
 }
 
-TrainConfig
-baseConfigFromArgs(const Args &args)
+std::vector<std::string>
+splitList(const std::string &text)
 {
-    TrainConfig cfg;
-    cfg.datasetImages = static_cast<std::uint64_t>(
-        args.getInt("images", 256000));
-    cfg.useTensorCores = args.has("tensor-cores");
-    cfg.overlapBpWu = args.has("overlap");
-    cfg.useAllReduce = args.has("allreduce");
-    cfg.bucketFusionMB = args.getDouble("fusion-mb", 0.0);
-    cfg.audit = args.has("audit");
-    // --mode, --platform and --microbatches are parsed by
-    // configFromArgs (scalar commands) or by the grid commands
-    // themselves (campaign sweeps list-valued modes/platforms/
-    // microbatch counts).
-    cfg.asyncItersPerWorker = args.getInt("async-iters", 30);
-    if (args.has("rings"))
-        cfg.commConfig.ncclRings = args.getInt("rings", 1);
-    // --scheduler is parsed by configFromArgs (scalar commands) or
-    // by the grid commands (campaign sweeps list-valued schedulers);
-    // the chunk/credit knobs are non-grid template values.
-    cfg.commConfig.partitionBytes = args.getBytes(
-        "partition-bytes", comm::kDefaultPartitionBytes);
-    if (cfg.commConfig.partitionBytes == 0)
-        sim::fatal("--partition-bytes must be positive");
-    cfg.commConfig.creditBytes =
-        args.getBytes("credit-bytes", comm::kDefaultCreditBytes);
-    if (cfg.commConfig.creditBytes == 0)
-        sim::fatal("--credit-bytes must be positive");
-    // --compression is parsed by configFromArgs / the grid commands;
-    // the kept-element ratio is a non-grid template value.
-    cfg.commConfig.compressRatio =
-        args.getDouble("compress-ratio", 0.01);
-    if (cfg.commConfig.compressRatio <= 0.0 ||
-        cfg.commConfig.compressRatio > 1.0) {
-        sim::fatal("--compress-ratio must be in (0, 1], got ",
-                   cfg.commConfig.compressRatio);
+    std::vector<std::string> out;
+    for (std::size_t start = 0; start <= text.size();) {
+        const std::size_t comma = std::min(text.find(',', start), text.size());
+        if (comma > start)
+            out.push_back(text.substr(start, comma - start));
+        start = comma + 1;
     }
-    if (args.has("p100"))
-        cfg.gpuSpec = hw::GpuSpec::pascalP100();
-    return cfg;
-}
-
-TrainConfig
-configFromArgs(const Args &args)
-{
-    TrainConfig cfg = baseConfigFromArgs(args);
-    cfg.model = args.get("model", "resnet-50");
-    cfg.numGpus = args.getInt("gpus", 4);
-    cfg.batchPerGpu = args.getInt("batch", 16);
-    cfg.method = comm::parseCommMethod(args.get("method", "nccl"));
-    if (args.has("mode"))
-        cfg.mode = parseParallelismMode(args.get("mode"));
-    cfg.microbatches = args.getInt("microbatches", 0);
-    if (cfg.microbatches < 0)
-        sim::fatal("--microbatches must be non-negative, got ",
-                   cfg.microbatches);
-    if (args.has("platform"))
-        cfg.platform = args.get("platform");
-    cfg.nodes = args.getInt("nodes", 1);
-    if (cfg.nodes < 1)
-        sim::fatal("--nodes must be positive, got ", cfg.nodes);
-    if (args.has("interconnect")) {
-        cfg.interconnect = args.get("interconnect");
-        if (!hw::isInterconnect(cfg.interconnect)) {
-            sim::fatal("unknown --interconnect '", cfg.interconnect,
-                       "'",
-                       sim::didYouMean(cfg.interconnect,
-                                       hw::interconnectNames()),
-                       " (run `dgxprof interconnects`)");
-        }
-    }
-    if (args.has("netalgo"))
-        cfg.netAlgo = comm::parseNetAlgo(args.get("netalgo"));
-    if (args.has("scheduler")) {
-        cfg.commConfig.scheduler =
-            comm::parseScheduler(args.get("scheduler"));
-    }
-    if (args.has("compression")) {
-        cfg.commConfig.compression =
-            comm::parseCompressor(args.get("compression"));
-    }
-    // Validate up front: an unknown platform fatals inside
-    // makePlatform, and a GPU count beyond the platform's capacity
-    // gets a clear message here instead of indexing surprises later.
-    const hw::Platform plat = hw::makePlatform(cfg.platform);
-    if (cfg.numGpus < 1 || cfg.numGpus > plat.topology.numGpus()) {
-        sim::fatal("--gpus ", cfg.numGpus, " is out of range: "
-                   "platform '", cfg.platform, "' has ",
-                   plat.topology.numGpus(), " GPUs");
-    }
-    return cfg;
+    return out;
 }
 
 } // namespace dgxsim::core::cli

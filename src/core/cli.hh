@@ -2,18 +2,16 @@
  * @file
  * Minimal command-line parsing for the dgxprof tool: positional
  * arguments plus `--key value` / `--key=value` options and boolean
- * flags. Lives in the library so it is unit-testable.
+ * flags. Lives in the library so it is unit-testable; the
+ * configuration knobs themselves parse through core/axes.hh.
  */
 
 #ifndef DGXSIM_CORE_CLI_HH
 #define DGXSIM_CORE_CLI_HH
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
-
-#include "core/train_config.hh"
 
 namespace dgxsim::core::cli {
 
@@ -45,13 +43,6 @@ class Args
     double getDouble(const std::string &name, double fallback) const;
 
     /**
-     * @return the option parsed as a byte count. Accepts a plain
-     * integer or a k/m/g suffix (powers of 1024), e.g. "4m" -> 4 MiB.
-     */
-    std::uint64_t getBytes(const std::string &name,
-                           std::uint64_t fallback) const;
-
-    /**
      * @return a comma-separated option as an int list, e.g.
      * "--gpus 1,2,4" -> {1,2,4}.
      */
@@ -71,26 +62,8 @@ class Args
     std::map<std::string, std::string> opts_;
 };
 
-/**
- * Build a TrainConfig from the non-grid options only: --images
- * --tensor-cores --overlap --allreduce --fusion-mb --audit
- * --async-iters --rings --partition-bytes --credit-bytes --p100.
- * Model, gpus, batch, method, mode, platform, microbatches and
- * scheduler keep their defaults; grid commands (campaign, sweep)
- * fill them per cell, so list-valued
- * --gpus/--batches/--method/--mode/--platform/--microbatches/
- * --scheduler never hit the scalar parsers.
- */
-TrainConfig baseConfigFromArgs(const Args &args);
-
-/**
- * Build a TrainConfig from common options: --model --gpus --batch
- * --method --mode --platform --scheduler --images --tensor-cores
- * --overlap --allreduce --fusion-mb --microbatches --async-iters.
- * Fatal when --platform is unknown or --gpus exceeds the platform's
- * GPU count.
- */
-TrainConfig configFromArgs(const Args &args);
+/** @return the non-empty items of comma-separated @p text. */
+std::vector<std::string> splitList(const std::string &text);
 
 } // namespace dgxsim::core::cli
 

@@ -41,6 +41,13 @@ parseParallelismMode(const std::string &name)
                sim::didYouMean(name, known));
 }
 
+bool
+isStaged(ParallelismMode mode)
+{
+    return mode == ParallelismMode::ModelParallel ||
+           mode == ParallelismMode::Pipeline;
+}
+
 const std::vector<ParallelismMode> &
 allParallelismModes()
 {

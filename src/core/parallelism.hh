@@ -39,6 +39,10 @@ const char *parallelismModeName(ParallelismMode mode);
  */
 ParallelismMode parseParallelismMode(const std::string &name);
 
+/** @return true for the stage-scheduled modes (model_parallel,
+ * pipeline), the ones with a microbatch depth. */
+bool isStaged(ParallelismMode mode);
+
 /** @return every mode, in enum order. */
 const std::vector<ParallelismMode> &allParallelismModes();
 

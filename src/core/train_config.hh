@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "comm/factory.hh"
 #include "core/parallelism.hh"
@@ -183,6 +184,15 @@ struct TrainConfig
     /** Memory-model constants. */
     MemoryModel memoryModel;
 
+    /**
+     * Fatal, naming the CLI option, when any axis (core/axes.hh) is
+     * NaN, infinite, negative or otherwise out of range, names an
+     * unknown platform or interconnect, or asks for more GPUs per
+     * node than the platform has. TrainerBase::make() calls it, so
+     * CLI-, record- and library-built configs get the same checks.
+     */
+    void validate() const;
+
     /** @return GPUs across the whole cluster. */
     int totalGpus() const { return nodes * numGpus; }
 
@@ -198,6 +208,70 @@ struct TrainConfig
         return (datasetImages + global - 1) / global;
     }
 };
+
+template <typename S, typename F> void visitFields(S &s, F &&f);
+
+namespace detail {
+template <typename F, typename... M>
+void
+visitEach(F &f, M &...members)
+{
+    (visitFields(members, f), ...);
+}
+} // namespace detail
+
+/** Bind every member of `s` by name, then visit each in turn. */
+#define DGXSIM_VISIT_MEMBERS(...)                                       \
+    auto &[__VA_ARGS__] = s;                                           \
+    detail::visitEach(f, __VA_ARGS__)
+
+/**
+ * Call @p f on every scalar and string member of a TrainConfig
+ * (const or not), recursing into gpuSpec, commConfig and
+ * memoryModel. A structured binding must name every member of its
+ * struct, so adding a member to TrainConfig, hw::GpuSpec,
+ * comm::CommConfig or MemoryModel without listing it here fails to
+ * compile. campaign::configKey() is this visit, so every member is
+ * keyed.
+ */
+template <typename S, typename F>
+void
+visitFields(S &s, F &&f)
+{
+    using T = std::remove_const_t<S>;
+    if constexpr (std::is_same_v<T, TrainConfig>) {
+        DGXSIM_VISIT_MEMBERS(
+            model, numGpus, nodes, interconnect, netAlgo, batchPerGpu,
+            method, mode, asyncItersPerWorker, microbatches, datasetImages,
+            measuredIterations, overlapBpWu, useTensorCores,
+            engineDispatchUs, setupOnceSeconds, useAllReduce,
+            bucketFusionMB, audit, nvlinkBwScale, ibBwScale, syncEntryUs,
+            platform, gpuSpec, commConfig, memoryModel);
+    } else if constexpr (std::is_same_v<T, hw::GpuSpec>) {
+        DGXSIM_VISIT_MEMBERS(name, numSms, fp32Tflops, tensorTflops,
+                             memBwGBps, memCapacity, launchOverheadUs,
+                             kernelTailUs, effMax, satWorkPerSm,
+                             speedupFactor);
+    } else if constexpr (std::is_same_v<T, comm::CommConfig>) {
+        DGXSIM_VISIT_MEMBERS(memcpyIssueUs, ncclSetupUs, ringChunkBytes,
+                             maxChunks, ringHopLatencyUs,
+                             ncclLinkEfficiency, ncclRings,
+                             ncclIterFixedUs, clusterNodes, netAlgo,
+                             scheduler, partitionBytes, creditBytes,
+                             compression, compressRatio, audit);
+    } else if constexpr (std::is_same_v<T, MemoryModel>) {
+        DGXSIM_VISIT_MEMBERS(contextGB, activationFactor, workspaceFactor,
+                             cudnnPoolMBPerConv, rootCommFactor,
+                             datasetBuffers);
+    } else {
+        static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T> ||
+                          std::is_same_v<T, std::string>,
+                      "visitFields: list the members of this struct");
+        f(s);
+    }
+}
+
+#undef DGXSIM_VISIT_MEMBERS
 
 } // namespace dgxsim::core
 

@@ -92,6 +92,7 @@ registerTrainer(ParallelismMode mode, TrainerFactory factory)
 std::unique_ptr<TrainerBase>
 TrainerBase::make(const TrainConfig &cfg)
 {
+    cfg.validate();
     auto it = registry().find(cfg.mode);
     if (it == registry().end())
         sim::fatal("no trainer registered for mode '",

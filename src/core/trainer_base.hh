@@ -61,8 +61,9 @@ class TrainerBase
 
     /**
      * Construct the strategy registered for cfg.mode on the platform
-     * cfg.platform names (fatal when no strategy is registered for
-     * the mode or the platform is unknown).
+     * cfg.platform names (fatal when cfg fails
+     * TrainConfig::validate() or no strategy is registered for the
+     * mode).
      */
     static std::unique_ptr<TrainerBase> make(const TrainConfig &cfg);
 

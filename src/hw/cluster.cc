@@ -16,7 +16,7 @@ struct InterconnectBuilder
     double latencyUs;
 };
 
-/** Registration order == listing order in `dgxprof interconnects`. */
+/** Registration order == listing order in `dgxprof list interconnects`. */
 constexpr InterconnectBuilder kBuilders[] = {
     {"ib100", "100 Gb/s InfiniBand EDR (one NIC per node)", 12.5, 1.5},
     {"ib200", "200 Gb/s InfiniBand HDR (one NIC per node)", 25.0, 1.2},

@@ -108,7 +108,7 @@ struct Builder
     Platform (*build)();
 };
 
-// Registration order is presentation order in `dgxprof platforms`.
+// Registration order is presentation order in `dgxprof list platforms`.
 constexpr Builder kBuilders[] = {
     {"dgx1v", dgx1v},       {"dgx1p", dgx1p},
     {"dgx1v-uniform", dgx1vUniform}, {"pcie8", pcie8},

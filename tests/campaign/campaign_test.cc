@@ -9,10 +9,12 @@
 
 #include <atomic>
 #include <set>
+#include <type_traits>
 
 #include "campaign/campaign.hh"
 #include "campaign/thread_pool.hh"
 #include "core/trainer.hh"
+#include "core/trainer_base.hh"
 #include "sim/logging.hh"
 
 namespace dgxsim::campaign {
@@ -22,10 +24,10 @@ CampaignSpec
 smallSpec()
 {
     CampaignSpec spec;
-    spec.models = {"lenet", "alexnet"};
-    spec.gpus = {1, 2};
-    spec.batches = {16};
-    spec.methods = {comm::CommMethod::P2P, comm::CommMethod::NCCL};
+    spec.values = {{"model", {"lenet", "alexnet"}},
+                   {"gpus", {"1", "2"}},
+                   {"batch", {"16"}},
+                   {"method", {"p2p", "nccl"}}};
     return spec;
 }
 
@@ -73,8 +75,8 @@ TEST(Campaign, RecordOrderIsIndependentOfJobs)
 TEST(Campaign, RecordsMatchDirectSimulation)
 {
     CampaignSpec spec = smallSpec();
-    spec.models = {"lenet"};
-    spec.gpus = {2};
+    spec.values["model"] = {"lenet"};
+    spec.values["gpus"] = {"2"};
     const auto records = runCampaign(spec.expand(), 2);
     ASSERT_EQ(records.size(), 2u);
     const core::TrainReport direct =
@@ -140,6 +142,59 @@ TEST(Campaign, ConfigKeySeparatesEveryCliAxis)
     EXPECT_TRUE(
         differs([](auto &c) { c.gpuSpec = hw::GpuSpec::pascalP100(); }));
     EXPECT_TRUE(differs([](auto &c) { c.platform = "dgx2"; }));
+}
+
+/** Change @p v to a different value of its type. */
+template <typename T>
+void
+bump(T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        v += "x";
+    else if constexpr (std::is_same_v<T, bool>)
+        v = !v;
+    else if constexpr (std::is_enum_v<T>)
+        v = static_cast<T>(static_cast<int>(v) + 1);
+    else
+        v = static_cast<T>(v + 1);
+}
+
+TEST(Campaign, ConfigKeySeparatesEveryMember)
+{
+    // Mutate one member at a time across TrainConfig, GpuSpec,
+    // CommConfig and MemoryModel: the key must change every time.
+    const core::TrainConfig base;
+    const std::string baseKey = configKey(base);
+    std::size_t members = 0;
+    core::visitFields(base, [&](const auto &) { ++members; });
+    EXPECT_EQ(members, 56u);
+    for (std::size_t i = 0; i < members; ++i) {
+        core::TrainConfig cfg;
+        std::size_t at = 0;
+        core::visitFields(cfg, [&](auto &v) {
+            if (at++ == i)
+                bump(v);
+        });
+        EXPECT_NE(configKey(cfg), baseKey) << "member " << i;
+    }
+}
+
+TEST(Campaign, CachedSimulateSeparatesGpuSpecMembers)
+{
+    // Regression test: configKey saw the GpuSpec only through its
+    // name and speedupFactor, so a config with a quarter of the HBM
+    // bandwidth got the unscaled config's cached report.
+    clearSimulationCache();
+    core::TrainConfig cfg;
+    cfg.model = "alexnet";
+    cfg.numGpus = 2;
+    const double plain = cachedSimulate(cfg).epochSeconds;
+    core::TrainConfig slow = cfg;
+    slow.gpuSpec.memBwGBps *= 0.25;
+    const double direct = core::TrainerBase::simulate(slow).epochSeconds;
+    EXPECT_NE(direct, plain);
+    EXPECT_EQ(cachedSimulate(slow).epochSeconds, direct);
+    clearSimulationCache();
 }
 
 TEST(Campaign, ConfigKeyNeverTruncatesLongNames)
@@ -241,7 +296,7 @@ TEST(Campaign, UnboundedDefaultMakesTrimANoOp)
 TEST(CampaignSpec, PlatformAxisIsOutermost)
 {
     CampaignSpec spec = smallSpec();
-    spec.platforms = {"dgx1v", "dgx2"};
+    spec.values["platform"] = {"dgx1v", "dgx2"};
     const auto configs = spec.expand();
     ASSERT_EQ(configs.size(), 16u);
     for (std::size_t i = 0; i < 8; ++i) {
@@ -265,16 +320,58 @@ TEST(CampaignSpec, EmptyPlatformsMeansTheBasePlatform)
 TEST(CampaignSpec, InvalidPlatformAxisIsFatal)
 {
     CampaignSpec bad = smallSpec();
-    bad.platforms = {"dgx1v", "dgx3"};
+    bad.values["platform"] = {"dgx1v", "dgx3"};
     EXPECT_THROW(bad.expand(), sim::FatalError);
     // A GPU request beyond a listed platform's capacity fails the
     // whole grid up front, not mid-campaign on a worker thread.
     CampaignSpec wide = smallSpec();
-    wide.platforms = {"dgx1v"};
-    wide.gpus = {8, 16};
+    wide.values["platform"] = {"dgx1v"};
+    wide.values["gpus"] = {"8", "16"};
     EXPECT_THROW(wide.expand(), sim::FatalError);
-    wide.platforms = {"dgx2"};
+    wide.values["platform"] = {"dgx2"};
     EXPECT_EQ(wide.expand().size(), 8u);
+}
+
+TEST(CampaignSpec, CollapseRulesPinAxesThatCannotMatter)
+{
+    // Non-sync modes have no collectives: method, scheduler and
+    // compressor collapse to p2p/fifo/none. Microbatches collapse
+    // outside the staged modes, and clusters run only sync_dp.
+    CampaignSpec spec;
+    spec.values = {{"model", {"lenet"}},
+                   {"gpus", {"2"}},
+                   {"batch", {"16"}},
+                   {"mode", {"sync_dp", "async_ps", "pipeline"}},
+                   {"microbatches", {"4", "8"}},
+                   {"scheduler", {"fifo", "priority"}}};
+    const auto configs = spec.expand();
+    // sync_dp: 2 methods x 2 schedulers; async_ps: 1; pipeline: 2 ubs.
+    ASSERT_EQ(configs.size(), 7u);
+    EXPECT_EQ(configs[0].microbatches, 0);
+    EXPECT_EQ(configs[1].commConfig.scheduler,
+              comm::SchedulerPolicy::Priority);
+    EXPECT_EQ(configs[4].mode, core::ParallelismMode::AsyncPs);
+    EXPECT_EQ(configs[4].method, comm::CommMethod::P2P);
+    EXPECT_EQ(configs[4].commConfig.scheduler,
+              comm::SchedulerPolicy::Fifo);
+    EXPECT_EQ(configs[5].microbatches, 4);
+    EXPECT_EQ(configs[6].microbatches, 8);
+    spec.values["nodes"] = {"2"};
+    for (const auto &cfg : spec.expand())
+        EXPECT_EQ(cfg.mode, core::ParallelismMode::SyncDp);
+}
+
+TEST(CampaignSpec, UnknownOrNonGridAxesAreFatal)
+{
+    CampaignSpec typo = smallSpec();
+    typo.values["gpu"] = {"1"};
+    EXPECT_THROW(typo.expand(), sim::FatalError);
+    CampaignSpec scalar = smallSpec();
+    scalar.values["images"] = {"1000"};
+    EXPECT_THROW(scalar.expand(), sim::FatalError);
+    CampaignSpec garbage = smallSpec();
+    garbage.values["batch"] = {"16", "x"};
+    EXPECT_THROW(garbage.expand(), sim::FatalError);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)

@@ -19,10 +19,10 @@ std::vector<RunRecord>
 freshBaseline()
 {
     CampaignSpec spec;
-    spec.models = {"lenet"};
-    spec.gpus = {1, 2};
-    spec.batches = {16};
-    spec.methods = {comm::CommMethod::P2P, comm::CommMethod::NCCL};
+    spec.values = {{"model", {"lenet"}},
+                   {"gpus", {"1", "2"}},
+                   {"batch", {"16"}},
+                   {"method", {"p2p", "nccl"}}};
     return runCampaign(spec.expand(), 2);
 }
 
@@ -103,6 +103,27 @@ TEST(Check, CompareRejectsMismatchedBaselines)
     std::swap(reordered[0], reordered[1]);
     EXPECT_THROW(compareRecords(baseline, reordered, {}),
                  sim::FatalError);
+}
+
+TEST(Check, SelectRecordsMatchesCanonicalSpellings)
+{
+    RunRecord a;
+    a.model = "lenet";
+    a.mode = "model_parallel";
+    a.microbatches = 8;
+    RunRecord b = a;
+    b.mode = "async_ps";
+    RunRecord c = a;
+    c.model = "alexnet";
+    // "mp" is an alias of model_parallel; filters on two axes AND.
+    const auto picked = selectRecords(
+        {a, b, c}, {{"mode", {"mp"}}, {"model", {"lenet", "vgg-16"}}});
+    ASSERT_EQ(picked.size(), 1u);
+    EXPECT_EQ(picked[0], a);
+    EXPECT_EQ(selectRecords({a, b, c}, {{"microbatches", {"8"}}}).size(),
+              3u);
+    EXPECT_EQ(selectRecords({a, b, c}, {}).size(), 3u);
+    EXPECT_THROW(selectRecords({a}, {{"mdoe", {"mp"}}}), sim::FatalError);
 }
 
 TEST(Check, SummaryNamesTheVerdict)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "campaign/json.hh"
 #include "campaign/record.hh"
@@ -170,6 +171,79 @@ TEST(RunRecord, MalformedJsonIsFatal)
         recordsFromJson(
             "{\"version\": 1, \"records\": [{\"model\": \"x\"}]}"),
         sim::FatalError);
+}
+
+/** The seven committed golden baselines, in a fixed order. */
+const char *const kGoldenFiles[] = {
+    "baseline",          "baseline_cluster", "baseline_modes",
+    "baseline_pipeline", "baseline_platforms", "baseline_sched",
+    "baseline_zoo"};
+
+std::string
+goldenText(const std::string &stem)
+{
+    return readFile(std::string(DGXSIM_REPO_ROOT) + "/results/" + stem +
+                    ".json");
+}
+
+TEST(GoldenRecords, JsonRoundTripsByteForByte)
+{
+    // Reading and re-writing a golden file must reproduce it exactly:
+    // this gates the record writer, the reader and every
+    // omit-when-default rule without running a simulation.
+    for (const char *stem : kGoldenFiles) {
+        const std::string text = goldenText(stem);
+        EXPECT_EQ(recordsToJson(recordsFromJson(text)), text) << stem;
+    }
+}
+
+TEST(GoldenRecords, KeysMatchThePinnedHash)
+{
+    // FNV-1a over every golden record's key(), one per line. The pin
+    // was taken from the hand-written key() this table replaced.
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    std::size_t records = 0;
+    for (const char *stem : kGoldenFiles) {
+        for (const RunRecord &r : recordsFromJson(goldenText(stem))) {
+            for (char c : r.key() + "\n") {
+                hash ^= static_cast<unsigned char>(c);
+                hash *= 0x100000001b3ull;
+            }
+            ++records;
+        }
+    }
+    EXPECT_EQ(records, 272u);
+    EXPECT_EQ(hash, 0xaa99013a8f06b564ull) << std::hex << hash;
+}
+
+TEST(GoldenRecords, EveryConfigValidates)
+{
+    for (const char *stem : kGoldenFiles) {
+        for (const RunRecord &r : recordsFromJson(goldenText(stem)))
+            EXPECT_NO_THROW(r.toConfig().validate()) << r.key();
+    }
+}
+
+TEST(RunRecord, CsvCarriesEveryRecordedAxis)
+{
+    // Two pipeline records that differ only in depth must yield
+    // distinguishable CSV rows; JSON and key() keep their rules.
+    RunRecord a = sampleRecord();
+    a.mode = "pipeline";
+    a.microbatches = 8;
+    RunRecord b = a;
+    b.microbatches = 16;
+    const std::string csv = recordsToCsv({a, b});
+    const std::size_t header = csv.find('\n');
+    EXPECT_NE(csv.substr(0, header).find(",microbatches,"),
+              std::string::npos);
+    const std::size_t first = csv.find('\n', header + 1);
+    EXPECT_NE(csv.substr(header + 1, first - header),
+              csv.substr(first + 1));
+    EXPECT_EQ(a.key(), "alexnet x4 b32 nccl i256000 pipeline ub8");
+    EXPECT_NE(recordsToJson({a}).find("\"microbatches\": 8, "
+                                      "\"bubble_fraction\""),
+              std::string::npos);
 }
 
 TEST(Json, ParsesTheEmittedSubset)

@@ -33,7 +33,7 @@ TEST(CompressorRegistry, NamesRoundTripThroughParse)
         EXPECT_STREQ(comm::compressorName(info.comp), info.name);
     }
     // Registry order is presentation order; `none` leads so the
-    // default is the first row of `dgxprof compressors`.
+    // default is the first row of `dgxprof list compressors`.
     EXPECT_EQ(registry.front().comp, Compressor::None);
 }
 

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the dgxprof argument parser and config mapping.
+ * Tests for the dgxprof argument parser and the axis-table config
+ * mapping.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/cli.hh"
+#include "core/axes.hh"
 #include "sim/logging.hh"
 
 namespace {
@@ -69,7 +70,7 @@ TEST(CliConfigTest, MapsAllTrainingOptions)
          "--method", "p2p", "--images", "512000", "--tensor-cores",
          "--overlap", "--allreduce", "--fusion-mb", "16",
          "--rings", "2"});
-    const core::TrainConfig cfg = core::cli::configFromArgs(args);
+    const core::TrainConfig cfg = core::configFromArgs(args);
     EXPECT_EQ(cfg.model, "vgg-16");
     EXPECT_EQ(cfg.numGpus, 8);
     EXPECT_EQ(cfg.batchPerGpu, 32);
@@ -85,14 +86,14 @@ TEST(CliConfigTest, MapsAllTrainingOptions)
 TEST(CliConfigTest, P100FlagSwapsTheGpu)
 {
     const Args args = Args::parse({"--p100"});
-    const core::TrainConfig cfg = core::cli::configFromArgs(args);
+    const core::TrainConfig cfg = core::configFromArgs(args);
     EXPECT_EQ(cfg.gpuSpec.name, hw::GpuSpec::pascalP100().name);
 }
 
 TEST(CliConfigTest, BadMethodIsFatal)
 {
     const Args args = Args::parse({"--method", "mpi"});
-    EXPECT_THROW(core::cli::configFromArgs(args), sim::FatalError);
+    EXPECT_THROW(core::configFromArgs(args), sim::FatalError);
 }
 
 TEST(CliConfigTest, MapsParallelismMode)
@@ -100,7 +101,7 @@ TEST(CliConfigTest, MapsParallelismMode)
     const Args args = Args::parse(
         {"--mode", "async_ps", "--async-iters", "12",
          "--microbatches", "6"});
-    const core::TrainConfig cfg = core::cli::configFromArgs(args);
+    const core::TrainConfig cfg = core::configFromArgs(args);
     EXPECT_EQ(cfg.mode, core::ParallelismMode::AsyncPs);
     EXPECT_EQ(cfg.asyncItersPerWorker, 12);
     EXPECT_EQ(cfg.microbatches, 6);
@@ -112,13 +113,13 @@ TEST(CliConfigTest, ModeDefaultsToSyncAndAcceptsAliases)
     // are gone — see the dgxprof_alias_*_removed ctest entries — but
     // the --mode *value* aliases are supported spelling, not
     // deprecation, and must keep working.
-    EXPECT_EQ(core::cli::configFromArgs(Args::parse({})).mode,
+    EXPECT_EQ(core::configFromArgs(Args::parse({})).mode,
               core::ParallelismMode::SyncDp);
-    EXPECT_EQ(core::cli::configFromArgs(
+    EXPECT_EQ(core::configFromArgs(
                   Args::parse({"--mode", "mp"}))
                   .mode,
               core::ParallelismMode::ModelParallel);
-    EXPECT_EQ(core::cli::configFromArgs(
+    EXPECT_EQ(core::configFromArgs(
                   Args::parse({"--mode", "sync"}))
                   .mode,
               core::ParallelismMode::SyncDp);
@@ -127,7 +128,7 @@ TEST(CliConfigTest, ModeDefaultsToSyncAndAcceptsAliases)
 TEST(CliConfigTest, BadModeIsFatal)
 {
     const Args args = Args::parse({"--mode", "hybrid"});
-    EXPECT_THROW(core::cli::configFromArgs(args), sim::FatalError);
+    EXPECT_THROW(core::configFromArgs(args), sim::FatalError);
 }
 
 TEST(CliConfigTest, BaseConfigIgnoresModeForGridCommands)
@@ -136,17 +137,17 @@ TEST(CliConfigTest, BaseConfigIgnoresModeForGridCommands)
     // touch it (it would fatal on "async_ps,model_parallel").
     const Args args =
         Args::parse({"--mode", "async_ps,model_parallel"});
-    const core::TrainConfig cfg = core::cli::baseConfigFromArgs(args);
+    const core::TrainConfig cfg = core::configFromArgs(args, /*grid=*/true);
     EXPECT_EQ(cfg.mode, core::ParallelismMode::SyncDp);
 }
 
 TEST(CliConfigTest, MapsPlatformAndDefaultsToDgx1v)
 {
-    EXPECT_EQ(core::cli::configFromArgs(Args::parse({})).platform,
+    EXPECT_EQ(core::configFromArgs(Args::parse({})).platform,
               "dgx1v");
     const Args args = Args::parse(
         {"--platform", "dgx2", "--gpus", "16"});
-    const core::TrainConfig cfg = core::cli::configFromArgs(args);
+    const core::TrainConfig cfg = core::configFromArgs(args);
     EXPECT_EQ(cfg.platform, "dgx2");
     EXPECT_EQ(cfg.numGpus, 16);
 }
@@ -154,20 +155,20 @@ TEST(CliConfigTest, MapsPlatformAndDefaultsToDgx1v)
 TEST(CliConfigTest, BadPlatformIsFatal)
 {
     const Args args = Args::parse({"--platform", "dgx3"});
-    EXPECT_THROW(core::cli::configFromArgs(args), sim::FatalError);
+    EXPECT_THROW(core::configFromArgs(args), sim::FatalError);
 }
 
 TEST(CliConfigTest, GpusBeyondThePlatformAreFatal)
 {
     // 16 GPUs fit the DGX-2 but not the DGX-1; the parser validates
     // the pair up front instead of failing deep in Machine setup.
-    EXPECT_THROW(core::cli::configFromArgs(
+    EXPECT_THROW(core::configFromArgs(
                      Args::parse({"--gpus", "16"})),
                  sim::FatalError);
-    EXPECT_THROW(core::cli::configFromArgs(
+    EXPECT_THROW(core::configFromArgs(
                      Args::parse({"--gpus", "0"})),
                  sim::FatalError);
-    EXPECT_NO_THROW(core::cli::configFromArgs(Args::parse(
+    EXPECT_NO_THROW(core::configFromArgs(Args::parse(
         {"--platform", "dgx2", "--gpus", "16"})));
 }
 
@@ -176,7 +177,7 @@ TEST(CliConfigTest, BaseConfigIgnoresPlatformForGridCommands)
     // Campaign passes list-valued --platform; the scalar parser must
     // not touch it (makePlatform would fatal on "dgx1p,dgx2").
     const Args args = Args::parse({"--platform", "dgx1p,dgx2"});
-    const core::TrainConfig cfg = core::cli::baseConfigFromArgs(args);
+    const core::TrainConfig cfg = core::configFromArgs(args, /*grid=*/true);
     EXPECT_EQ(cfg.platform, "dgx1v");
 }
 

@@ -9,20 +9,17 @@
  *   campaign parallel grid runner with JSON/CSV results
  *   check    re-run a campaign, diff against a golden baseline
  *   topo     show a platform's topology, routes and bandwidths
- *   platforms list the registered hardware platforms
- *   interconnects list the registered inter-node networks
+ *   list     list a registry (models, platforms, interconnects,
+ *            schedulers, compressors)
  *   advise   rank parallelization strategies for a model (what-if
  *            projections first, frontier re-simulated for real)
- *   models   list the model zoo
+ *   layers   per-layer cost breakdown
  *   verify   determinism check: run a config twice, compare digests
  *
- * train/analyze/sweep/campaign/check/verify take --mode
- * sync_dp|async_ps|model_parallel|pipeline to select the parallelization
- * strategy, and --platform to pick the hardware substrate from the
- * registry (campaign and check accept comma-separated lists of
- * both). --nodes N stands up an N-node cluster of the selected
- * platform joined by --interconnect (hw/cluster.hh), with the
- * inter-node all-reduce schedule picked by --netalgo ring|tree.
+ * Every configuration knob (--model, --gpus, --mode, --platform,
+ * --nodes, ...) is a row of the axis table in core/axes.cc, which
+ * parses it, validates it and prints its usage line; campaign and
+ * check take comma lists of the grid axes.
  *
  * Run `dgxprof help` (or any subcommand with --help) for usage.
  */
@@ -38,9 +35,8 @@
 #include "campaign/campaign.hh"
 #include "campaign/check.hh"
 #include "campaign/thread_pool.hh"
-#include "comm/compression.hh"
 #include "comm/scheduler.hh"
-#include "core/cli.hh"
+#include "core/axes.hh"
 #include "core/determinism.hh"
 #include "core/layer_profile.hh"
 #include "core/scaling.hh"
@@ -49,7 +45,6 @@
 #include "core/trainer_base.hh"
 #include "dnn/models.hh"
 #include "dnn/serialize.hh"
-#include "hw/cluster.hh"
 #include "hw/fabric.hh"
 #include "hw/platform.hh"
 #include "hw/topology.hh"
@@ -69,109 +64,48 @@ usage()
         "\n"
         "usage: dgxprof <command> [options]\n"
         "\n"
-        "commands:\n"
-        "  train     simulate one run      (--model | --model-file F; --gpus --batch "
-        "--method p2p|nccl\n"
-        "                                   [--mode "
-        "sync_dp|async_ps|model_parallel|pipeline]\n"
-        "                                   [--platform "
-        "dgx1v|dgx1p|dgx2|... ]\n"
-        "                                   [--nodes N] "
-        "[--interconnect ib100|ib200|...]\n"
-        "                                   [--netalgo ring|tree]\n"
-        "                                   [--scheduler "
-        "fifo|priority|partitioned]\n"
-        "                                   [--partition-bytes N[kmg]] "
-        "[--credit-bytes N[kmg]]\n"
-        "                                   [--compression "
-        "none|randomk|dgc|efsignsgd|onebit]\n"
-        "                                   [--compress-ratio F]\n"
-        "                                   [--microbatches N] "
-        "[--async-iters N]\n"
-        "                                   [--allreduce] [--fusion-mb "
-        "N] [--tensor-cores]\n"
-        "                                   [--overlap] [--rings 2] "
-        "[--p100] [--images N]\n"
-        "                                   [--trace FILE] [--csv "
-        "FILE] [--report] [--audit])\n"
-        "  analyze   critical-path + what-if (same config options as "
-        "train, plus\n"
-        "                                   [--schedulers S1,S2,...] "
-        "to compare comm\n"
-        "                                   scheduling policies "
-        "side by side,\n"
-        "                                   [--what-if K=V,...|"
-        "standard] [--no-validate]\n"
-        "                                   [--max-error PCT] [--top "
-        "N] [--json FILE]\n"
-        "                                   [--record FILE] [--trace "
-        "FILE])\n"
-        "  sweep    grid of runs          (--model [--gpus 1,2,4,8] "
-        "[--batches 16,32,64]\n"
-        "                                   [--mode M] [--platform P] "
-        "[--jobs N])\n"
-        "  campaign  parallel grid runner  (--model M1,M2 [--gpus "
-        "1,2,4,8]\n"
-        "                                   [--batches 16,32,64] "
-        "[--method p2p,nccl]\n"
-        "                                   [--mode M1,M2] "
-        "[--platform P1,P2]\n"
-        "                                   [--nodes 1,2,4] "
-        "[--interconnect I1,I2]\n"
-        "                                   [--netalgo ring,tree]\n"
-        "                                   [--scheduler "
-        "fifo,priority,partitioned]\n"
-        "                                   [--compression "
-        "none,randomk,dgc,...]\n"
-        "                                   [--microbatches M1,M2]\n"
-        "                                   [--jobs N] [--json FILE]\n"
-        "                                   [--csv FILE] [--quiet])\n"
-        "  check     regression gate       (--baseline "
-        "results/baseline.json\n"
-        "                                   [--tolerance PCT] [--jobs "
-        "N] [--no-digest]\n"
-        "                                   [--model ...] [--gpus ...] "
-        "[--batches ...]\n"
-        "                                   [--method ...] [--mode "
-        "...] [--platform ...]\n"
-        "                                   [--nodes ...] "
-        "[--interconnect ...] [--netalgo ...]\n"
-        "                                   [--scheduler ...] "
-        "[--compression ...]\n"
-        "                                   [--microbatches ...] to\n"
-        "                                   filter the baseline grid)\n"
-        "  topo      topology, routes, bandwidth matrix "
-        "([--platform P])\n"
-        "  platforms list the registered hardware platforms\n"
-        "  interconnects list the registered inter-node networks\n"
-        "  schedulers list the registered gradient-bucket schedulers\n"
-        "  compressors list the registered gradient compressors\n"
-        "  advise    strategy search       (--model [--gpus N] "
-        "[--batch N]\n"
-        "                                   [--mode M] [--stages "
+        "commands (train, analyze, verify, layers and advise take the "
+        "axes below):\n"
+        "  train     simulate one run [--model-file F] [--trace FILE] "
+        "[--csv FILE]\n"
+        "            [--report]\n"
+        "  analyze   critical path + what-if [--what-if K=V,...|standard]"
+        "\n"
+        "            [--no-validate] [--max-error PCT] [--top N] "
+        "[--json FILE]\n"
+        "            [--record FILE] [--trace FILE] [--schedulers "
         "S1,S2,...]\n"
-        "                                   [--microbatches "
-        "M1,M2,...]\n"
-        "                                   [--platforms P1,P2] "
-        "[--topk K];\n"
-        "                                   ranks sync_dp/"
-        "model_parallel/pipeline\n"
-        "                                   what-if-first, winner "
-        "re-simulated)\n"
-        "  layers    per-layer cost breakdown (--model [--batch N] "
-        "[--top N])\n"
-        "  models    list the model zoo\n"
-        "  verify    determinism check    (same options as train; "
-        "runs twice,\n"
-        "                                   compares digests, exits "
-        "non-zero on mismatch)\n");
+        "  sweep     p2p-vs-nccl table over --gpus/--batches lists "
+        "[--jobs N]\n"
+        "  campaign  parallel grid runner over grid axis lists [--jobs N]"
+        "\n"
+        "            [--json FILE] [--csv FILE] [--quiet]\n"
+        "  check     regression gate --baseline FILE [--tolerance PCT] "
+        "[--jobs N]\n"
+        "            [--no-digest]; grid axis lists filter the baseline"
+        "\n"
+        "  topo      topology, routes, bandwidth matrix [--platform P]\n"
+        "  list      list a registry: models|platforms|interconnects|"
+        "schedulers|\n"
+        "            compressors\n"
+        "  advise    strategy search, what-if first, winner re-simulated"
+        "\n"
+        "            [--stages S1,...] [--microbatches M1,...] "
+        "[--platforms P1,...]\n"
+        "            [--topk K]\n"
+        "  layers    per-layer cost breakdown [--model-file F] [--top N]"
+        "\n"
+        "  verify    determinism check: runs twice, exits non-zero when "
+        "digests differ\n"
+        "\n%s",
+        core::axisUsage().c_str());
     return 2;
 }
 
 int
 cmdTrain(const Args &args)
 {
-    core::TrainConfig cfg = core::cli::configFromArgs(args);
+    core::TrainConfig cfg = core::configFromArgs(args);
     // --model-file loads a serialized network description instead of
     // a zoo model (see dnn/serialize.hh for the format). Custom
     // networks run only on the synchronous strategy.
@@ -198,9 +132,7 @@ cmdTrain(const Args &args)
                 static_cast<unsigned long long>(r.iterations),
                 r.iterationSeconds * 1e3, 100 * r.syncApiFraction,
                 r.interGpuBytesPerIter / 1e6);
-    if ((r.config.mode == core::ParallelismMode::ModelParallel ||
-         r.config.mode == core::ParallelismMode::Pipeline) &&
-        !r.stageParamBytes.empty()) {
+    if (core::isStaged(r.config.mode) && !r.stageParamBytes.empty()) {
         std::printf("  stage weights (MB):");
         for (sim::Bytes b : r.stageParamBytes)
             std::printf(" %.1f", b / 1e6);
@@ -248,7 +180,7 @@ cmdTrain(const Args &args)
 int
 cmdAnalyze(const Args &args)
 {
-    core::TrainConfig cfg = core::cli::configFromArgs(args);
+    core::TrainConfig cfg = core::configFromArgs(args);
     auto trainer = core::TrainerBase::make(cfg);
     const core::TrainReport base = trainer->run();
     if (base.oom) {
@@ -375,44 +307,6 @@ cmdAnalyze(const Args &args)
     return 0;
 }
 
-/** Build the campaign grid from --model/--gpus/--batches/--method
- * (every non-grid knob comes from the usual train options). */
-campaign::CampaignSpec
-campaignSpecFromArgs(const Args &args)
-{
-    campaign::CampaignSpec spec;
-    spec.base = core::cli::baseConfigFromArgs(args);
-    spec.models = args.getList("model", {spec.base.model});
-    spec.gpus = args.getIntList("gpus", {1, 2, 4, 8});
-    spec.batches =
-        args.getIntList("batches", args.getIntList("batch", {16, 32, 64}));
-    spec.methods.clear();
-    for (const std::string &m : args.getList("method", {"p2p", "nccl"}))
-        spec.methods.push_back(comm::parseCommMethod(m));
-    spec.modes.clear();
-    for (const std::string &m : args.getList("mode", {"sync_dp"}))
-        spec.modes.push_back(core::parseParallelismMode(m));
-    // Empty means "base.platform only" (the default machine).
-    spec.platforms = args.getList("platform", {});
-    spec.nodeCounts = args.getIntList("nodes", {1});
-    // Empty means "base.interconnect only"; the axis only matters in
-    // multi-node cells anyway.
-    spec.interconnects = args.getList("interconnect", {});
-    spec.netAlgos.clear();
-    for (const std::string &a : args.getList("netalgo", {"ring"}))
-        spec.netAlgos.push_back(comm::parseNetAlgo(a));
-    spec.schedulers.clear();
-    for (const std::string &s : args.getList("scheduler", {"fifo"}))
-        spec.schedulers.push_back(comm::parseScheduler(s));
-    spec.compressors.clear();
-    for (const std::string &z : args.getList("compression", {"none"}))
-        spec.compressors.push_back(comm::parseCompressor(z));
-    // Empty means "base.microbatches only"; the axis collapses for
-    // modes without a pipeline.
-    spec.microbatchCounts = args.getIntList("microbatches", {});
-    return spec;
-}
-
 /** Run @p configs with a stderr progress line unless --quiet. */
 std::vector<campaign::RunRecord>
 runWithProgress(const std::vector<core::TrainConfig> &configs,
@@ -434,10 +328,12 @@ runWithProgress(const std::vector<core::TrainConfig> &configs,
 int
 cmdCampaign(const Args &args)
 {
-    campaign::CampaignSpec spec = campaignSpecFromArgs(args);
+    // Comma lists of the grid axes over a base of every other knob.
+    campaign::CampaignSpec spec{core::gridValuesFromArgs(args),
+                                core::configFromArgs(args, true)};
     // Unlike sweep, an unqualified campaign covers the whole zoo
     // grid the paper measures.
-    spec.models = args.getList("model", dnn::modelNames());
+    spec.values.emplace("model", dnn::modelNames());
     const auto configs = spec.expand();
     const auto records = runWithProgress(configs, args);
     TextTable table({"model", "gpus", "batch", "method", "epoch (s)",
@@ -485,68 +381,8 @@ cmdCheck(const Args &args)
         campaign::recordsFromJson(campaign::readFile(path));
     // Optional grid filters restrict the gate to a subset of the
     // committed baseline (the CI repro-smoke job uses this).
-    const auto contains = [](const auto &list, const auto &v) {
-        return std::find(list.begin(), list.end(), v) != list.end();
-    };
-    if (args.has("model") || args.has("gpus") ||
-        args.has("batches") || args.has("batch") ||
-        args.has("method") || args.has("mode") ||
-        args.has("microbatches") || args.has("platform") ||
-        args.has("nodes") || args.has("interconnect") ||
-        args.has("netalgo") || args.has("scheduler") ||
-        args.has("compression")) {
-        const auto models = args.getList("model", {});
-        const auto gpus = args.getIntList("gpus", {});
-        const auto batches =
-            args.getIntList("batches", args.getIntList("batch", {}));
-        const auto methods = args.getList("method", {});
-        const auto microbatches = args.getIntList("microbatches", {});
-        const auto platforms = args.getList("platform", {});
-        const auto nodes = args.getIntList("nodes", {});
-        const auto interconnects = args.getList("interconnect", {});
-        std::vector<std::string> netAlgos;
-        for (const std::string &a : args.getList("netalgo", {})) {
-            netAlgos.push_back(
-                comm::netAlgoName(comm::parseNetAlgo(a)));
-        }
-        std::vector<std::string> modes;
-        for (const std::string &m : args.getList("mode", {})) {
-            // Canonicalize aliases ("async" -> "async_ps") so the
-            // filter matches the serialized names.
-            modes.push_back(core::parallelismModeName(
-                core::parseParallelismMode(m)));
-        }
-        std::vector<std::string> schedulers;
-        for (const std::string &s : args.getList("scheduler", {})) {
-            schedulers.push_back(
-                comm::schedulerName(comm::parseScheduler(s)));
-        }
-        std::vector<std::string> compressions;
-        for (const std::string &z : args.getList("compression", {})) {
-            compressions.push_back(
-                comm::compressorName(comm::parseCompressor(z)));
-        }
-        std::erase_if(baseline, [&](const campaign::RunRecord &r) {
-            return (!models.empty() && !contains(models, r.model)) ||
-                   (!gpus.empty() && !contains(gpus, r.gpus)) ||
-                   (!batches.empty() && !contains(batches, r.batch)) ||
-                   (!methods.empty() && !contains(methods, r.method)) ||
-                   (!modes.empty() && !contains(modes, r.mode)) ||
-                   (!microbatches.empty() &&
-                    !contains(microbatches, r.microbatches)) ||
-                   (!platforms.empty() &&
-                    !contains(platforms, r.platform)) ||
-                   (!nodes.empty() && !contains(nodes, r.nodes)) ||
-                   (!interconnects.empty() &&
-                    !contains(interconnects, r.interconnect)) ||
-                   (!netAlgos.empty() &&
-                    !contains(netAlgos, r.netAlgo)) ||
-                   (!schedulers.empty() &&
-                    !contains(schedulers, r.scheduler)) ||
-                   (!compressions.empty() &&
-                    !contains(compressions, r.compression));
-        });
-    }
+    baseline = campaign::selectRecords(std::move(baseline),
+                                       core::gridValuesFromArgs(args));
     if (baseline.empty()) {
         std::fprintf(stderr,
                      "check: no baseline records match the filter\n");
@@ -567,21 +403,23 @@ cmdSweep(const Args &args)
 {
     // The sweep is a campaign over one model and both methods,
     // rendered as the classic p2p-vs-nccl table.
-    campaign::CampaignSpec spec = campaignSpecFromArgs(args);
-    spec.methods = {comm::CommMethod::P2P, comm::CommMethod::NCCL};
-    spec.modes = {core::parseParallelismMode(
-        args.get("mode", "sync_dp"))};
+    // Comma lists of the grid axes over a base of every other knob.
+    campaign::CampaignSpec spec{core::gridValuesFromArgs(args),
+                                core::configFromArgs(args, true)};
+    const core::ParallelismMode mode =
+        core::parseParallelismMode(args.get("mode", "sync_dp"));
+    spec.values["method"] = {"p2p", "nccl"};
+    spec.values["mode"] = {core::parallelismModeName(mode)};
     const auto configs = spec.expand();
     const auto records = campaign::runCampaign(
         configs, args.getInt("jobs", campaign::defaultJobs()));
-    if (spec.modes.front() != core::ParallelismMode::SyncDp) {
+    const std::string &model = configs.front().model;
+    if (mode != core::ParallelismMode::SyncDp) {
         // Non-sync strategies have no method axis: one record per
         // (gpus, batch) cell, with the strategy's own headline metric.
-        const bool async =
-            spec.modes.front() == core::ParallelismMode::AsyncPs;
-        std::printf("sweep of %s (%s, 256K images):\n",
-                    spec.models.front().c_str(),
-                    core::parallelismModeName(spec.modes.front()));
+        const bool async = mode == core::ParallelismMode::AsyncPs;
+        std::printf("sweep of %s (%s, 256K images):\n", model.c_str(),
+                    core::parallelismModeName(mode));
         TextTable table({"gpus", "batch", "epoch (s)",
                          async ? "avg staleness" : "bubble %"});
         for (const campaign::RunRecord &r : records) {
@@ -599,8 +437,7 @@ cmdSweep(const Args &args)
         std::printf("%s", table.str().c_str());
         return 0;
     }
-    std::printf("sweep of %s (256K images):\n",
-                spec.models.front().c_str());
+    std::printf("sweep of %s (256K images):\n", model.c_str());
     TextTable table({"gpus", "batch", "p2p epoch (s)", "nccl epoch (s)",
                      "best"});
     // expand() orders method innermost: records come in (p2p, nccl)
@@ -649,61 +486,18 @@ cmdTopo(const Args &args)
 }
 
 int
-cmdPlatforms()
+cmdList(const Args &args)
 {
-    TextTable table({"name", "gpus", "gpu", "description"});
-    for (const std::string &name : hw::platformNames()) {
-        const hw::Platform plat = hw::makePlatform(name);
-        table.addRow({plat.name,
-                      std::to_string(plat.topology.numGpus()),
-                      plat.gpuSpec.name, plat.description});
-    }
-    std::printf("%s", table.str().c_str());
-    return 0;
-}
-
-int
-cmdInterconnects()
-{
-    TextTable table({"name", "GB/s per dir", "latency (us)",
-                     "description"});
-    for (const std::string &name : hw::interconnectNames()) {
-        const hw::Interconnect ic = hw::makeInterconnect(name);
-        table.addRow({ic.name, TextTable::num(ic.gbpsPerDir, 1),
-                      TextTable::num(ic.latencyUs, 1),
-                      ic.description});
-    }
-    std::printf("%s", table.str().c_str());
-    return 0;
-}
-
-int
-cmdSchedulers()
-{
-    TextTable table({"name", "description"});
-    for (const comm::SchedulerInfo &info : comm::schedulerRegistry())
-        table.addRow({info.name, info.description});
-    std::printf("%s", table.str().c_str());
-    return 0;
-}
-
-int
-cmdCompressors()
-{
-    TextTable table({"name", "uses ratio", "description"});
-    for (const comm::CompressorInfo &info :
-         comm::compressorRegistry()) {
-        table.addRow({info.name, info.usesRatio ? "yes" : "no",
-                      info.description});
-    }
-    std::printf("%s", table.str().c_str());
+    if (args.positional().empty())
+        sim::fatal("usage: dgxprof list <registry>");
+    std::printf("%s", core::listRegistry(args.positional().front()).c_str());
     return 0;
 }
 
 int
 cmdAdvise(const Args &args)
 {
-    core::TrainConfig cfg = core::cli::configFromArgs(args);
+    core::TrainConfig cfg = core::configFromArgs(args);
     if (!args.has("batch")) {
         // Legacy behavior: with no --batch, advise first picks the
         // largest per-GPU batch that fits the base strategy, then
@@ -758,7 +552,7 @@ cmdAdvise(const Args &args)
 int
 cmdLayers(const Args &args)
 {
-    core::TrainConfig cfg = core::cli::configFromArgs(args);
+    core::TrainConfig cfg = core::configFromArgs(args);
     dnn::Network net = args.has("model-file")
                            ? dnn::loadNetworkFile(args.get("model-file"))
                            : dnn::buildByName(cfg.model);
@@ -789,24 +583,10 @@ cmdLayers(const Args &args)
 int
 cmdVerify(const Args &args)
 {
-    core::TrainConfig cfg = core::cli::configFromArgs(args);
+    core::TrainConfig cfg = core::configFromArgs(args);
     const auto check = core::checkDeterminism(cfg);
     std::printf("%s\n", check.summary().c_str());
     return check.deterministic ? 0 : 1;
-}
-
-int
-cmdModels()
-{
-    TextTable table({"name", "params (M)", "fwd GFLOPs/img", "layers"});
-    for (const std::string &name : dnn::extendedModelNames()) {
-        dnn::Network net = dnn::buildByName(name);
-        table.addRow({name, TextTable::num(net.paramCount() / 1e6, 2),
-                      TextTable::num(net.forwardFlops(1) / 1e9, 2),
-                      std::to_string(net.layers().size())});
-    }
-    std::printf("%s", table.str().c_str());
-    return 0;
 }
 
 } // namespace
@@ -833,22 +613,14 @@ main(int argc, char **argv)
             return cmdCheck(args);
         if (command == "topo")
             return cmdTopo(args);
-        if (command == "platforms")
-            return cmdPlatforms();
-        if (command == "interconnects")
-            return cmdInterconnects();
-        if (command == "schedulers")
-            return cmdSchedulers();
-        if (command == "compressors")
-            return cmdCompressors();
+        if (command == "list")
+            return cmdList(args);
         if (command == "advise")
             return cmdAdvise(args);
         if (command == "analyze")
             return cmdAnalyze(args);
         if (command == "layers")
             return cmdLayers(args);
-        if (command == "models")
-            return cmdModels();
         if (command == "verify")
             return cmdVerify(args);
     } catch (const dgxsim::sim::FatalError &err) {
