@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/trainer.hh"
 #include "sim/logging.hh"
 
@@ -254,9 +257,14 @@ TEST(TrainerTest, ProfilerSeesExpectedKernels)
     EXPECT_GT(prof.apiTime("ncclGroupOps"), 0u);
 }
 
-/** Property sweep: every (model, gpus, method) combination runs. */
+/**
+ * Property sweep: every (model, gpus, method) combination runs. The
+ * model is a std::string, not a const char *, so the printed parameter
+ * (and thus the discovered ctest name) is the model name rather than a
+ * load-address-dependent pointer.
+ */
 class TrainerMatrix
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {
 };
 
@@ -280,9 +288,11 @@ TEST_P(TrainerMatrix, CompletesWithConsistentStages)
 
 INSTANTIATE_TEST_SUITE_P(
     AllModels, TrainerMatrix,
-    ::testing::Combine(::testing::Values("lenet", "alexnet",
-                                         "googlenet", "inception-v3",
-                                         "resnet-50"),
+    ::testing::Combine(::testing::Values(std::string("lenet"),
+                                         std::string("alexnet"),
+                                         std::string("googlenet"),
+                                         std::string("inception-v3"),
+                                         std::string("resnet-50")),
                        ::testing::Values(1, 2, 4, 8)));
 
 } // namespace
