@@ -117,8 +117,8 @@ measureEqStorm(int n)
 }
 
 /**
- * The FlowNetwork completion pattern: K live handles cancelled and
- * rescheduled every round — the arena free-list's hot case.
+ * Cancel churn: K live handles cancelled and scheduled anew every
+ * round — eager heap removal plus the arena free-list's hot case.
  */
 double
 measureEqChurn(int rounds)
@@ -457,6 +457,40 @@ preInterningPoint()
     return p;
 }
 
+/**
+ * The measurement taken just before the event heap went indexed
+ * (eager cancel, in-place reschedule) and Fabric began memoizing
+ * routes; same loops, full size, jobs=1. Kept as a fixed trajectory
+ * point so the committed file shows that change's before/after on one
+ * host. eq_churn is the loop it targets; eq_storm, the calibration
+ * metric, cancels nothing.
+ */
+campaign::BenchPoint
+preEagerCancelPoint()
+{
+    campaign::BenchPoint p;
+    p.label = "pre-eager-cancel";
+    p.note = "before the indexed event heap and the Fabric route memo: "
+             "lazy cancel, findRoute per transfer; full-size runs, "
+             "jobs=1, best of 3 runs of 3 passes, same host as the "
+             "point after it";
+    p.values = {
+        {"eq_storm_events_per_sec", 2631765.04},
+        {"eq_churn_resched_per_sec", 6629629.14},
+        {"flow_churn_flows_per_sec", 39377.8906},
+        {"grid120_cold_sims_per_sec", 162.018939},
+        {"grid120_warm_sims_per_sec", 1783962.18},
+        {"sched_storm_chunks_per_sec", 12121434.3},
+        {"compress_storm_chunks_per_sec", 10671120.7},
+        {"single_run_lenet_g1_p2p_ms", 0.141976},
+        {"single_run_alexnet_g8_nccl_ms", 5.2365752},
+        {"single_run_googlenet_g8_nccl_ms", 12.1760254},
+        {"single_run_inception_v3_g8_nccl_ms", 43.2507198},
+        {"single_run_resnet_50_g8_nccl_ms", 34.1446326},
+    };
+    return p;
+}
+
 campaign::BenchFile
 buildBenchFile(const Sizes &sizes, const std::string &label,
                bool smoke)
@@ -466,6 +500,7 @@ buildBenchFile(const Sizes &sizes, const std::string &label,
     file.metrics = measureAll(sizes);
     file.trajectory.push_back(preChangePoint());
     file.trajectory.push_back(preInterningPoint());
+    file.trajectory.push_back(preEagerCancelPoint());
     campaign::BenchPoint now;
     now.label = label;
     now.note = smoke ? "smoke run: reduced workloads, values NOT "

@@ -47,28 +47,47 @@ isInterNodeLane(const std::string &lane)
     return lane.rfind("ib.", 0) == 0;
 }
 
-bool
-isNvlinkRoute(const hw::Topology &topo, int src, int dst)
+/**
+ * Topology::findRoute memoized per (src, dst) for one Dag build: a
+ * copy lane repeats its pair for every copy record, and a cluster
+ * route search costs a BFS.
+ */
+class RouteMemo
 {
-    if (src < 0 || dst < 0)
-        return false;
-    const hw::Route route =
-        topo.findRoute(static_cast<hw::NodeId>(src),
-                       static_cast<hw::NodeId>(dst));
-    return route.kind == hw::RouteKind::DirectNvlink ||
-           route.kind == hw::RouteKind::SwitchNvlink ||
-           route.kind == hw::RouteKind::StagedNvlink;
+  public:
+    explicit RouteMemo(const hw::Topology &topo) : topo_(topo) {}
+
+    /** @return the route, or nullptr if an endpoint is not a node. */
+    const hw::Route *
+    find(int src, int dst)
+    {
+        if (src < 0 || dst < 0)
+            return nullptr;
+        auto [it, fresh] = routes_.try_emplace({src, dst});
+        if (fresh) {
+            it->second = topo_.findRoute(static_cast<hw::NodeId>(src),
+                                         static_cast<hw::NodeId>(dst));
+        }
+        return &it->second;
+    }
+
+  private:
+    const hw::Topology &topo_;
+    std::map<std::pair<int, int>, hw::Route> routes_;
+};
+
+bool
+isNvlinkRoute(const hw::Route *route)
+{
+    return route && (route->kind == hw::RouteKind::DirectNvlink ||
+                     route->kind == hw::RouteKind::SwitchNvlink ||
+                     route->kind == hw::RouteKind::StagedNvlink);
 }
 
 bool
-isInterNodeRoute(const hw::Topology &topo, int src, int dst)
+isInterNodeRoute(const hw::Route *route)
 {
-    if (src < 0 || dst < 0)
-        return false;
-    const hw::Route route =
-        topo.findRoute(static_cast<hw::NodeId>(src),
-                       static_cast<hw::NodeId>(dst));
-    return route.kind == hw::RouteKind::InterNode;
+    return route && route->kind == hw::RouteKind::InterNode;
 }
 
 } // namespace
@@ -78,6 +97,7 @@ Dag::Dag(const profiling::Profiler &prof, const hw::Topology &topo)
     const profiling::RecordId base = prof.firstId();
     const std::size_t count = prof.recordCount();
     nodes_.reserve(count);
+    RouteMemo routes(topo);
 
     for (std::size_t i = 0; i < count; ++i) {
         const profiling::RecordId id =
@@ -127,11 +147,12 @@ Dag::Dag(const profiling::Profiler &prof, const hw::Topology &topo)
                         std::to_string(c.dst);
             node.start = c.start;
             node.end = c.end;
-            node.interNodeCopy = isInterNodeRoute(topo, c.src, c.dst);
+            const hw::Route *route = routes.find(c.src, c.dst);
+            node.interNodeCopy = isInterNodeRoute(route);
             node.category = node.interNodeCopy
                                 ? Category::InterNodeComm
                                 : Category::Comm;
-            node.nvlinkCopy = isNvlinkRoute(topo, c.src, c.dst);
+            node.nvlinkCopy = isNvlinkRoute(route);
             if (node.interNodeCopy && node.duration() > 0) {
                 // Estimate what share of the recorded duration an
                 // ib_bw what-if can actually speed up. The route is
@@ -142,12 +163,9 @@ Dag::Dag(const profiling::Profiler &prof, const hw::Topology &topo)
                 // uncontended PCIe staging legs cannot account for
                 // (max-min contention lives on the IB wire). Take
                 // the midpoint of the bracket.
-                const hw::Route route = topo.findRoute(
-                    static_cast<hw::NodeId>(c.src),
-                    static_cast<hw::NodeId>(c.dst));
                 double ib_secs = 0;
                 double pcie_secs = 0;
-                for (const hw::RouteLeg &leg : route.legs) {
+                for (const hw::RouteLeg &leg : route->legs) {
                     const hw::Link &link = topo.links()[leg.linkIndex];
                     const double leg_secs =
                         static_cast<double>(c.wireBytes) /

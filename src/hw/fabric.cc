@@ -49,9 +49,21 @@ Fabric::channelFor(std::size_t link, NodeId from) const
                                          : chans_[link][1];
 }
 
+std::shared_ptr<const Route>
+Fabric::route(NodeId src, NodeId dst)
+{
+    const std::uint64_t key =
+        (std::uint64_t(std::uint32_t(src)) << 32) | std::uint32_t(dst);
+    std::shared_ptr<const Route> &slot = routes_[key];
+    if (!slot)
+        slot = std::make_shared<const Route>(topo_.findRoute(src, dst));
+    return slot;
+}
+
 void
 Fabric::scaleNvlinkBandwidth(double factor)
 {
+    routes_.clear();
     topo_.scaleNvlinkBandwidth(factor);
     for (std::size_t i = 0; i < topo_.links().size(); ++i) {
         const Link &link = topo_.links()[i];
@@ -66,6 +78,7 @@ Fabric::scaleNvlinkBandwidth(double factor)
 void
 Fabric::scaleIbBandwidth(double factor)
 {
+    routes_.clear();
     topo_.scaleIbBandwidth(factor);
     for (std::size_t i = 0; i < topo_.links().size(); ++i) {
         const Link &link = topo_.links()[i];
@@ -80,6 +93,7 @@ Fabric::scaleIbBandwidth(double factor)
 void
 Fabric::scaleLinkBandwidth(std::size_t link_index, double factor)
 {
+    routes_.clear();
     topo_.scaleLinkBandwidth(link_index, factor);
     const Link &link = topo_.links()[link_index];
     const double cap = sim::gbpsToBytesPerTick(link.gbpsPerDir());
@@ -97,10 +111,11 @@ Fabric::linkBytesMoved(std::size_t link_index) const
 }
 
 void
-Fabric::runLegs(std::shared_ptr<TransferRecord> rec, Route route,
-                std::size_t leg, Callback done)
+Fabric::runLegs(std::shared_ptr<TransferRecord> rec,
+                std::shared_ptr<const Route> route, std::size_t leg,
+                Callback done)
 {
-    if (leg >= route.legs.size()) {
+    if (leg >= route->legs.size()) {
         rec->end = queue_.now();
         if (auditor_) {
             auditor_->expect(rec->end >= rec->start, rec->end,
@@ -113,16 +128,16 @@ Fabric::runLegs(std::shared_ptr<TransferRecord> rec, Route route,
             done();
         return;
     }
-    const RouteLeg &hop = route.legs[leg];
+    const RouteLeg &hop = route->legs[leg];
     const Link &link = topo_.links()[hop.linkIndex];
     sim::Tick latency = sim::usToTicks(link.latencyUs);
     // Host-staged copies pay a software staging cost at each relay
     // (pinned-buffer management in the driver). Inter-node routes pay
     // it only at the host relays; the NIC and switch hops forward in
     // hardware (RDMA) with just their link latency.
-    if (route.kind == RouteKind::HostPcie && leg > 0) {
+    if (route->kind == RouteKind::HostPcie && leg > 0) {
         latency += sim::usToTicks(host_.stagingOverheadUs);
-    } else if (route.kind == RouteKind::InterNode && leg > 0 &&
+    } else if (route->kind == RouteKind::InterNode && leg > 0 &&
                topo_.nodeKind(hop.from) == NodeKind::Cpu) {
         latency += sim::usToTicks(host_.stagingOverheadUs);
     }
@@ -138,21 +153,21 @@ Fabric::runLegs(std::shared_ptr<TransferRecord> rec, Route route,
 void
 Fabric::transfer(NodeId src, NodeId dst, sim::Bytes bytes, Callback done)
 {
-    Route route = topo_.findRoute(src, dst);
+    std::shared_ptr<const Route> path = route(src, dst);
     auto rec = std::make_shared<TransferRecord>();
     rec->src = src;
     rec->dst = dst;
     rec->bytes = bytes;
-    rec->kind = route.kind;
+    rec->kind = path->kind;
     rec->start = queue_.now();
-    if (route.kind == RouteKind::Loopback) {
+    if (path->kind == RouteKind::Loopback) {
         rec->end = queue_.now();
         records_.push_back(*rec);
         if (done)
             done();
         return;
     }
-    runLegs(std::move(rec), std::move(route), 0, std::move(done));
+    runLegs(std::move(rec), std::move(path), 0, std::move(done));
 }
 
 void

@@ -4,13 +4,22 @@
  * becomes two unidirectional channels, and transfers become flows
  * routed by Topology::findRoute() with store-and-forward at relays
  * (MXNet's staged transfers are two back-to-back cudaMemcpys).
+ *
+ * Routes are memoized per (src, dst) pair, filled on first use. A
+ * route search rebuilds adjacency and runs a BFS each call, and a
+ * training run moves data between the same pairs every iteration.
+ * The widest-path choice depends on link bandwidth, so every scale*
+ * call drops the memo; a transfer already in flight shares ownership
+ * of its route and finishes on it, as it would have with a copy.
  */
 
 #ifndef DGXSIM_HW_FABRIC_HH
 #define DGXSIM_HW_FABRIC_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "hw/topology.hh"
@@ -108,9 +117,13 @@ class Fabric
     sim::FlowNetwork::ChannelId channelFor(std::size_t link,
                                            NodeId from) const;
 
+    /** @return the memoized Topology::findRoute(src, dst). */
+    std::shared_ptr<const Route> route(NodeId src, NodeId dst);
+
     /** Issue route legs sequentially starting at @p leg. */
-    void runLegs(std::shared_ptr<TransferRecord> rec, Route route,
-                 std::size_t leg, Callback done);
+    void runLegs(std::shared_ptr<TransferRecord> rec,
+                 std::shared_ptr<const Route> route, std::size_t leg,
+                 Callback done);
 
     sim::EventQueue &queue_;
     Topology topo_;
@@ -119,6 +132,9 @@ class Fabric
     /** Per link: channel a->b then b->a. */
     std::vector<std::array<sim::FlowNetwork::ChannelId, 2>> chans_;
     std::vector<TransferRecord> records_;
+    /** Route memo keyed by (src << 32 | dst); cleared on every scale. */
+    std::unordered_map<std::uint64_t, std::shared_ptr<const Route>>
+        routes_;
     sim::Auditor *auditor_ = nullptr;
     /** Auditor created by enableAudit() when none was provided. */
     std::unique_ptr<sim::Auditor> ownedAuditor_;

@@ -27,9 +27,15 @@ EventQueue::recycle(Record *rec)
     // make the record reusable. The callback is released eagerly so
     // captured resources do not linger on the free list.
     ++rec->gen;
-    rec->cancelled = false;
     rec->callback = nullptr;
     freeList_.push_back(rec);
+}
+
+void
+EventQueue::place(std::size_t i, const HeapEntry &entry)
+{
+    heap_[i] = entry;
+    entry.record->slot = i;
 }
 
 void
@@ -40,10 +46,10 @@ EventQueue::siftUp(std::size_t i)
         const std::size_t parent = (i - 1) / 4;
         if (!(entry < heap_[parent]))
             break;
-        heap_[i] = heap_[parent];
+        place(i, heap_[parent]);
         i = parent;
     }
-    heap_[i] = entry;
+    place(i, entry);
 }
 
 void
@@ -63,21 +69,27 @@ EventQueue::siftDown(std::size_t i)
         }
         if (!(heap_[best] < entry))
             break;
-        heap_[i] = heap_[best];
+        place(i, heap_[best]);
         i = best;
     }
-    heap_[i] = entry;
+    place(i, entry);
 }
 
 EventQueue::HeapEntry
-EventQueue::popTop()
+EventQueue::removeAt(std::size_t i)
 {
-    const HeapEntry top = heap_.front();
-    heap_.front() = heap_.back();
+    const HeapEntry removed = heap_[i];
+    const HeapEntry last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty())
-        siftDown(0);
-    return top;
+    if (i < heap_.size()) {
+        // The last entry fills the hole; it may belong above or below.
+        place(i, last);
+        if (i > 0 && last < heap_[(i - 1) / 4])
+            siftUp(i);
+        else
+            siftDown(i);
+    }
+    return removed;
 }
 
 EventHandle
@@ -89,38 +101,43 @@ EventQueue::schedule(Tick when, Callback cb)
     rec->callback = std::move(cb);
     heap_.push_back(HeapEntry{when, nextSeq_++, rec});
     siftUp(heap_.size() - 1);
-    ++liveEvents_;
     return EventHandle(rec, rec->gen);
 }
 
 bool
 EventQueue::cancel(EventHandle &handle)
 {
-    Record *rec = handle.record_;
-    if (!rec || rec->gen != handle.gen_ || rec->cancelled)
+    if (!handle.valid())
         return false;
-    rec->cancelled = true;
-    rec->callback = nullptr;
-    --liveEvents_;
+    recycle(removeAt(handle.record_->slot).record);
     return true;
 }
 
-void
-EventQueue::skipCancelled()
+bool
+EventQueue::reschedule(EventHandle &handle, Tick when)
 {
-    while (!heap_.empty() && heap_.front().record->cancelled)
-        recycle(popTop().record);
+    if (!handle.valid())
+        return false;
+    if (when < curTick_)
+        fatal("event rescheduled into the past: ", when, " < ", curTick_);
+    const std::size_t i = handle.record_->slot;
+    const HeapEntry old = heap_[i];
+    heap_[i].when = when;
+    heap_[i].seq = nextSeq_++;
+    if (heap_[i] < old)
+        siftUp(i);
+    else
+        siftDown(i);
+    return true;
 }
 
 bool
 EventQueue::step()
 {
-    skipCancelled();
     if (heap_.empty())
         return false;
-    HeapEntry entry = popTop();
+    const HeapEntry entry = removeAt(0);
     curTick_ = entry.when;
-    --liveEvents_;
     ++executed_;
     // Move the callback out and recycle before invoking: the callback
     // may schedule new events (reusing this record is fine — any
@@ -142,12 +159,8 @@ EventQueue::run()
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    for (;;) {
-        skipCancelled();
-        if (heap_.empty() || heap_.front().when > limit)
-            break;
+    while (!heap_.empty() && heap_.front().when <= limit)
         step();
-    }
     if (curTick_ < limit)
         curTick_ = limit;
     return curTick_;

@@ -7,16 +7,19 @@
  * deterministic and reproducible.
  *
  * Storage is a slab/free-list arena: event records are pooled and
- * recycled instead of heap-allocated per event, and the pending set
- * is a 4-ary min-heap ordered by (tick, sequence). A campaign grid
- * schedules millions of events (flow-completion churn cancels and
- * reschedules constantly), so the per-event allocation cost of the
- * former shared_ptr<Record> representation dominated simulator
- * throughput; the arena removes it without changing any observable
- * ordering. Handles carry a generation counter so a handle to a
- * fired, cancelled or recycled event is inert, exactly like the old
- * weak_ptr behavior — but a handle must not outlive the queue it
- * came from (records live in the queue's slabs).
+ * recycled instead of heap-allocated per event (a campaign grid
+ * schedules millions of events), and the pending set
+ * is an indexed 4-ary min-heap ordered by (tick, sequence). Each
+ * record knows its heap slot, so cancel() removes the entry at once
+ * and reschedule() re-keys it in place: the heap holds live events
+ * only. Flow-completion churn re-arms the same events constantly, and
+ * dead entries left in the heap would make every pop sift through
+ * them. reschedule() gives the entry the key (when, next sequence)
+ * that cancel() + schedule() would have given a fresh event, and live
+ * keys are unique, so the fire order is the same either way. Handles
+ * carry a generation counter so a handle to a fired, cancelled or
+ * recycled event is inert — but a handle must not outlive the queue
+ * it came from (records live in the queue's slabs).
  */
 
 #ifndef DGXSIM_SIM_EVENT_QUEUE_HH
@@ -33,7 +36,10 @@ namespace dgxsim::sim {
 
 class EventQueue;
 
-/** Opaque handle identifying a scheduled event; used for cancellation. */
+/**
+ * Opaque handle identifying a scheduled event; used for cancellation
+ * and rescheduling.
+ */
 class EventHandle
 {
   public:
@@ -50,7 +56,8 @@ class EventHandle
         /** Bumped every time the record is recycled; a handle whose
          * generation no longer matches refers to a dead event. */
         std::uint64_t gen = 0;
-        bool cancelled = false;
+        /** Index of this record's entry in the heap while pending. */
+        std::size_t slot = 0;
     };
     EventHandle(Record *r, std::uint64_t gen) : record_(r), gen_(gen) {}
     Record *record_ = nullptr;
@@ -93,6 +100,16 @@ class EventQueue
      */
     bool cancel(EventHandle &handle);
 
+    /**
+     * Move a pending event to tick @p when, keeping its callback and
+     * handle. The event is keyed (when, next sequence number), exactly
+     * as cancel() followed by schedule() would key a fresh event.
+     * @param when Absolute tick; must be >= now().
+     * @return true if the event was pending and is now rescheduled;
+     * false (and nothing changes) for a fired or cancelled handle.
+     */
+    bool reschedule(EventHandle &handle, Tick when);
+
     /** Run events until the queue is empty. @return the final tick. */
     Tick run();
 
@@ -107,10 +124,10 @@ class EventQueue
     bool step();
 
     /** @return true when no events are pending. */
-    bool empty() const { return liveEvents_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
-    /** @return the number of pending (non-cancelled) events. */
-    std::size_t pendingEvents() const { return liveEvents_; }
+    /** @return the number of pending events. */
+    std::size_t pendingEvents() const { return heap_.size(); }
 
     /** @return the total number of events executed so far. */
     std::uint64_t executedEvents() const { return executed_; }
@@ -140,16 +157,16 @@ class EventQueue
 
     static constexpr std::size_t kSlabSize = 512;
 
-    /** Pop cancelled entries (recycling their records) off the top. */
-    void skipCancelled();
+    /** Remove the entry at heap slot @p i and return it. */
+    HeapEntry removeAt(std::size_t i);
 
-    /** Pop the heap top (must be non-empty). */
-    HeapEntry popTop();
+    /** Store @p entry at heap slot @p i and record the slot. */
+    void place(std::size_t i, const HeapEntry &entry);
 
-    /** Sift the last heap element up into place. */
+    /** Sift the entry at slot @p i up into place. */
     void siftUp(std::size_t i);
 
-    /** Sift the root element down into place. */
+    /** Sift the entry at slot @p i down into place. */
     void siftDown(std::size_t i);
 
     Record *allocRecord();
@@ -158,8 +175,7 @@ class EventQueue
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
-    std::size_t liveEvents_ = 0;
-    /** 4-ary min-heap ordered by (when, seq); lazily purged. */
+    /** 4-ary min-heap ordered by (when, seq); pending events only. */
     std::vector<HeapEntry> heap_;
     std::vector<std::unique_ptr<Record[]>> slabs_;
     std::vector<Record *> freeList_;
@@ -168,7 +184,7 @@ class EventQueue
 inline bool
 EventHandle::valid() const
 {
-    return record_ && record_->gen == gen_ && !record_->cancelled;
+    return record_ && record_->gen == gen_;
 }
 
 } // namespace dgxsim::sim

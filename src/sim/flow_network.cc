@@ -405,10 +405,13 @@ FlowNetwork::rescheduleCompletions()
     for (auto &[id, flow] : active_) {
         if (flow.done)
             continue;
-        queue_.cancel(flow.completion);
-        if (flow.lastUpdate > now)
-            continue; // latency stage; activation event pending
+        if (flow.lastUpdate > now) {
+            // Latency stage; activation event pending.
+            queue_.cancel(flow.completion);
+            continue;
+        }
         if (flow.remaining <= kByteEpsilon) {
+            queue_.cancel(flow.completion);
             finished.push_back(id);
             continue;
         }
@@ -421,9 +424,13 @@ FlowNetwork::rescheduleCompletions()
         const Tick eta = std::max<Tick>(
             1,
             static_cast<Tick>(std::ceil(flow.remaining / flow.rate)));
-        FlowId fid = id;
-        flow.completion =
-            queue_.schedule(now + eta, [this, fid] { complete(fid); });
+        // Re-key an armed completion in place: the same (tick, seq)
+        // key cancel() + schedule() would give, without the churn.
+        if (!queue_.reschedule(flow.completion, now + eta)) {
+            FlowId fid = id;
+            flow.completion =
+                queue_.schedule(now + eta, [this, fid] { complete(fid); });
+        }
     }
     std::sort(finished.begin(), finished.end());
     for (FlowId id : finished)

@@ -7,9 +7,12 @@
  * set of channels (links). All channels along a flow's path carry the
  * flow concurrently (cut-through DMA pipelining). When flows start or
  * finish, the network recomputes a max-min fair rate allocation and
- * reschedules every affected completion event. This reproduces how
- * concurrent DMA transfers share NVLink/PCIe bandwidth on a real
- * multi-GPU system without simulating individual packets.
+ * re-arms every in-flight flow's completion event. This reproduces
+ * how concurrent DMA transfers share NVLink/PCIe bandwidth on a real
+ * multi-GPU system without simulating individual packets. An armed
+ * event is re-keyed in place (EventQueue::reschedule) rather than
+ * cancelled and scheduled anew, so re-solves leave no dead entries in
+ * the event heap; the key, and so the fire order, is the same.
  *
  * The allocation is incremental: the network tracks which flows use
  * each channel and which channels a flow start/finish/capacity change
@@ -164,7 +167,11 @@ class FlowNetwork
     /** Remove @p id from the allocation (per-channel membership). */
     void leaveAllocation(FlowId id, const Flow &flow);
 
-    /** (Re)schedule every active flow's completion event. */
+    /**
+     * Re-arm every in-flight flow's completion event: re-key an armed
+     * one, schedule a first one, cancel it for latency-stage flows, and
+     * complete flows with no bytes left.
+     */
     void rescheduleCompletions();
 
     void activate(FlowId id);

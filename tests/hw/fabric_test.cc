@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for the Fabric transfer engine: timing of direct, staged and
- * host-routed copies, bandwidth sharing, and ablation hooks.
+ * host-routed copies, bandwidth sharing, ablation hooks, and the
+ * route memo's invalidation when an ablation rescales links.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "hw/fabric.hh"
 #include "sim/event_queue.hh"
@@ -31,6 +34,38 @@ class FabricTest : public ::testing::Test
         fabric.transfer(src, dst, bytes, [&] { end = queue.now(); });
         queue.run();
         return sim::ticksToSec(end - start);
+    }
+
+    /** @return the NVLink index between two GPUs (must exist). */
+    std::size_t
+    nvlink(NodeId a, NodeId b) const
+    {
+        return *fabric.topology().directLink(a, b, LinkType::NVLink);
+    }
+
+    /**
+     * Transfer between every GPU pair and check each one moved its
+     * bytes over exactly the links of the topology's current route.
+     */
+    void
+    expectTransfersFollowCurrentRoutes()
+    {
+        const Topology &topo = fabric.topology();
+        const sim::Bytes bytes = 1000;
+        for (NodeId a = 0; a < topo.numGpus(); ++a) {
+            for (NodeId b = 0; b < topo.numGpus(); ++b) {
+                std::vector<double> expect(topo.links().size());
+                for (std::size_t i = 0; i < expect.size(); ++i)
+                    expect[i] = fabric.linkBytesMoved(i);
+                for (const RouteLeg &leg : topo.findRoute(a, b).legs)
+                    expect[leg.linkIndex] += bytes;
+                timedTransfer(a, b, bytes);
+                for (std::size_t i = 0; i < expect.size(); ++i) {
+                    EXPECT_NEAR(fabric.linkBytesMoved(i), expect[i], 1.0)
+                        << a << "->" << b << " link " << i;
+                }
+            }
+        }
     }
 };
 
@@ -147,6 +182,44 @@ TEST_F(FabricTest, ZeroByteTransferCompletesAfterLatency)
     queue.run();
     EXPECT_GT(end, 0u);
     EXPECT_LE(sim::ticksToUs(end), 5.0);
+}
+
+TEST_F(FabricTest, TransfersFollowTheRouteOfTheCurrentBandwidths)
+{
+    // 0->7 stages through a common neighbor, 1 or 6; both give
+    // 25 GB/s and the tie goes to the lower relay. Halving 1-7 makes
+    // 6 the widest relay; rescaling all NVLink restores every base
+    // bandwidth and with it relay 1. Each scale must drop routes the
+    // fabric memoized under the old bandwidths.
+    expectTransfersFollowCurrentRoutes();
+    ASSERT_EQ(fabric.topology().findRoute(0, 7).legs[0].to, 1);
+
+    fabric.scaleLinkBandwidth(nvlink(1, 7), 0.5);
+    ASSERT_EQ(fabric.topology().findRoute(0, 7).legs[0].to, 6);
+    expectTransfersFollowCurrentRoutes();
+
+    fabric.scaleNvlinkBandwidth(1.0);
+    ASSERT_EQ(fabric.topology().findRoute(0, 7).legs[0].to, 1);
+    expectTransfersFollowCurrentRoutes();
+}
+
+TEST_F(FabricTest, ScaleDuringATransferFinishesItOnItsRoute)
+{
+    // The scale drops the memoized 0->1->7 route while its first leg
+    // is in flight; the transfer must still finish both legs of the
+    // route it started on (a sanitizer build catches a dangling one).
+    const sim::Bytes payload = 250u * 1000 * 1000;
+    bool done = false;
+    fabric.transfer(0, 7, payload, [&] { done = true; });
+    queue.runUntil(sim::secToTicks(0.001));
+    fabric.scaleLinkBandwidth(nvlink(1, 7), 0.5);
+    queue.run();
+    EXPECT_TRUE(done);
+    ASSERT_EQ(fabric.records().size(), 1u);
+    EXPECT_EQ(fabric.records()[0].kind, RouteKind::StagedNvlink);
+    EXPECT_NEAR(fabric.linkBytesMoved(nvlink(0, 1)), payload, 2.0);
+    EXPECT_NEAR(fabric.linkBytesMoved(nvlink(1, 7)), payload, 2.0);
+    EXPECT_DOUBLE_EQ(fabric.linkBytesMoved(nvlink(0, 6)), 0.0);
 }
 
 } // namespace
