@@ -81,6 +81,8 @@ struct Sizes
     int flowChurn = 20000;
     int schedRounds = 20000;
     int singleReps = 5;
+    /** Floor on each single_run measurement's wall time. */
+    double singleMinSeconds = 0.05;
     int passes = 3; ///< best-of passes per metric
 };
 
@@ -93,6 +95,7 @@ smokeSizes()
     s.flowChurn = 2500;
     s.schedRounds = 2000;
     s.singleReps = 1;
+    s.singleMinSeconds = 0;
     s.passes = 1;
     return s;
 }
@@ -270,14 +273,25 @@ cellConfig(const std::string &model, int gpus, comm::CommMethod method)
     return cfg;
 }
 
-/** @return mean wall milliseconds per full training simulation. */
+/**
+ * @return mean wall milliseconds per full training simulation, over
+ * at least @p reps runs and at least @p min_seconds of wall time. The
+ * small cells take 0.1-1.5 ms a run, and a few such runs time mostly
+ * host noise.
+ */
 double
-measureSingleRun(const core::TrainConfig &cfg, int reps)
+measureSingleRun(const core::TrainConfig &cfg, int reps,
+                 double min_seconds)
 {
     const auto t0 = Clock::now();
-    for (int i = 0; i < reps; ++i)
+    int runs = 0;
+    double elapsed = 0;
+    do {
         core::TrainerBase::simulate(cfg);
-    return secondsSince(t0) / reps * 1e3;
+        ++runs;
+        elapsed = secondsSince(t0);
+    } while (runs < reps || elapsed < min_seconds);
+    return elapsed / runs * 1e3;
 }
 
 std::vector<core::TrainConfig>
@@ -380,7 +394,8 @@ measureAll(const Sizes &sizes)
                            false,
                            measureSingleRun(
                                cellConfig(model, gpus, method),
-                               sizes.singleReps));
+                               sizes.singleReps,
+                               sizes.singleMinSeconds));
                 }
             }
         }
@@ -491,6 +506,39 @@ preEagerCancelPoint()
     return p;
 }
 
+/**
+ * The measurement taken just before FlowNetwork went from one
+ * completion event per flow to one armed event per network; same
+ * loops as the point after it (single runs repeated to >= 50 ms),
+ * full size, jobs=1. Only flow_churn exercises the change: the
+ * single-box cells run few concurrent flows.
+ */
+campaign::BenchPoint
+preArmedEventPoint()
+{
+    campaign::BenchPoint p;
+    p.label = "pre-armed-event";
+    p.note = "before one armed completion event per FlowNetwork: one "
+             "event per flow, same-tick finishers completed one "
+             "nested re-solve at a time; full-size runs, jobs=1, best "
+             "of 3 runs of 3 passes, same host as the point after it";
+    p.values = {
+        {"eq_storm_events_per_sec", 2617241.66},
+        {"eq_churn_resched_per_sec", 25965300.6},
+        {"flow_churn_flows_per_sec", 50566.1789},
+        {"grid120_cold_sims_per_sec", 247.576719},
+        {"grid120_warm_sims_per_sec", 1813428.44},
+        {"sched_storm_chunks_per_sec", 12150260.3},
+        {"compress_storm_chunks_per_sec", 11173150.7},
+        {"single_run_lenet_g1_p2p_ms", 0.0627657039},
+        {"single_run_alexnet_g8_nccl_ms", 3.48935233},
+        {"single_run_googlenet_g8_nccl_ms", 8.9020935},
+        {"single_run_inception_v3_g8_nccl_ms", 27.2312458},
+        {"single_run_resnet_50_g8_nccl_ms", 20.2880746},
+    };
+    return p;
+}
+
 campaign::BenchFile
 buildBenchFile(const Sizes &sizes, const std::string &label,
                bool smoke)
@@ -501,12 +549,17 @@ buildBenchFile(const Sizes &sizes, const std::string &label,
     file.trajectory.push_back(preChangePoint());
     file.trajectory.push_back(preInterningPoint());
     file.trajectory.push_back(preEagerCancelPoint());
+    file.trajectory.push_back(preArmedEventPoint());
     campaign::BenchPoint now;
     now.label = label;
     now.note = smoke ? "smoke run: reduced workloads, values NOT "
                        "comparable to full-size points"
                      : "full-size run, jobs=1, best of " +
-                           std::to_string(sizes.passes);
+                           std::to_string(sizes.passes) +
+                           ", single runs repeated to >= " +
+                           std::to_string(static_cast<int>(
+                               sizes.singleMinSeconds * 1e3)) +
+                           " ms";
     for (const campaign::BenchMetric &m : file.metrics)
         now.values[m.name] = m.value;
     file.trajectory.push_back(std::move(now));

@@ -223,8 +223,13 @@ FlowNetwork::allocateRates()
     }
     dirty_.clear();
     for (std::size_t i = 0; i < affectedChannels_.size(); ++i) {
-        for (FlowId id : channelFlows_[affectedChannels_[i]]) {
-            Flow &flow = active_[id];
+        const ChannelId chan = affectedChannels_[i];
+        for (FlowId id : channelFlows_[chan]) {
+            auto it = active_.find(id);
+            if (it == active_.end())
+                panic("channel ", chan, " lists flow ", id,
+                      " that is not in flight");
+            Flow &flow = it->second;
             if (flow.mark == solveEpoch_)
                 continue;
             flow.mark = solveEpoch_;
@@ -256,7 +261,8 @@ FlowNetwork::allocateRates()
     for (auto &[id, flow] : affectedFlows_)
         flow->rate = 0;
 
-    std::vector<bool> frozen(affectedFlows_.size(), false);
+    std::vector<std::uint8_t> &frozen = frozenScratch_;
+    frozen.assign(affectedFlows_.size(), 0);
     std::size_t remaining_flows = affectedFlows_.size();
     while (remaining_flows > 0) {
         // Find the bottleneck channel: minimal fair share.
@@ -285,7 +291,7 @@ FlowNetwork::allocateRates()
             if (!crosses)
                 continue;
             flow.rate = best_share;
-            frozen[i] = true;
+            frozen[i] = 1;
             --remaining_flows;
             for (ChannelId c : flow.path) {
                 capScratch_[c] -= best_share;
@@ -332,7 +338,7 @@ FlowNetwork::allocateRates()
             for (std::size_t i = 0; i < unfrozen.size(); ++i) {
                 if (frz[i])
                     continue;
-                Flow &flow = active_[unfrozen[i]];
+                Flow &flow = active_.at(unfrozen[i]);
                 if (std::find(flow.path.begin(), flow.path.end(), bc) ==
                     flow.path.end())
                     continue;
@@ -397,21 +403,18 @@ FlowNetwork::auditBusyTicks()
     }
 }
 
-void
-FlowNetwork::rescheduleCompletions()
+std::pair<Tick, FlowNetwork::FlowId>
+FlowNetwork::earliestCompletion(std::vector<FlowId> &finished) const
 {
     const Tick now = queue_.now();
-    std::vector<FlowId> finished;
-    for (auto &[id, flow] : active_) {
-        if (flow.done)
+    Tick best_eta = 0;
+    FlowId best = invalidFlow;
+    for (const auto &[id, flow] : active_) {
+        // Pure-latency flows fire their own event; latency-stage flows
+        // wait for activation.
+        if (flow.done || flow.lastUpdate > now)
             continue;
-        if (flow.lastUpdate > now) {
-            // Latency stage; activation event pending.
-            queue_.cancel(flow.completion);
-            continue;
-        }
         if (flow.remaining <= kByteEpsilon) {
-            queue_.cancel(flow.completion);
             finished.push_back(id);
             continue;
         }
@@ -420,21 +423,46 @@ FlowNetwork::rescheduleCompletions()
         // Clamp to >= 1 tick: a residual just above kByteEpsilon
         // against a huge rate must never round to a same-tick
         // completion, which would re-enter complete() at the tick
-        // that scheduled it.
+        // that armed it.
         const Tick eta = std::max<Tick>(
             1,
             static_cast<Tick>(std::ceil(flow.remaining / flow.rate)));
-        // Re-key an armed completion in place: the same (tick, seq)
-        // key cancel() + schedule() would give, without the churn.
-        if (!queue_.reschedule(flow.completion, now + eta)) {
-            FlowId fid = id;
-            flow.completion =
-                queue_.schedule(now + eta, [this, fid] { complete(fid); });
+        // Strict '<': among equal ETAs the first in iteration order
+        // wins, as the lowest sequence number would.
+        if (best == invalidFlow || eta < best_eta) {
+            best_eta = eta;
+            best = id;
         }
     }
-    std::sort(finished.begin(), finished.end());
-    for (FlowId id : finished)
-        complete(id);
+    return {now + best_eta, best};
+}
+
+void
+FlowNetwork::rescheduleCompletions()
+{
+    std::vector<FlowId> finished;
+    std::pair<Tick, FlowId> next = earliestCompletion(finished);
+    std::vector<std::function<void()>> callbacks;
+    if (!finished.empty()) {
+        std::sort(finished.begin(), finished.end());
+        callbacks.reserve(finished.size());
+        for (FlowId id : finished)
+            callbacks.push_back(retire(active_.find(id)));
+        allocateRates();
+        // Rates moved but no bytes did: the rescan finds no finisher.
+        next = earliestCompletion(finished);
+    }
+    armedFlow_ = next.second;
+    if (armedFlow_ == invalidFlow)
+        queue_.cancel(armed_);
+    else if (!queue_.reschedule(armed_, next.first))
+        armed_ = queue_.schedule(next.first,
+                                 [this] { complete(armedFlow_); });
+    // Anything a callback starts sees the fresh rates and arming.
+    for (auto cb = callbacks.rbegin(); cb != callbacks.rend(); ++cb) {
+        if (*cb)
+            (*cb)();
+    }
 }
 
 void
@@ -445,6 +473,27 @@ FlowNetwork::recompute()
     rescheduleCompletions();
 }
 
+std::function<void()>
+FlowNetwork::retire(std::unordered_map<FlowId, Flow>::iterator it)
+{
+    Flow &flow = it->second;
+    if (auditor_) {
+        // Byte conservation: everything requested was delivered (the
+        // epsilon absorbs fluid-model floating-point rounding).
+        const double slack =
+            std::max(kByteEpsilon, 1e-12 * flow.requested);
+        auditor_->expect(flow.remaining <= slack, queue_.now(),
+                         "flow ", it->first, " completed with ",
+                         flow.remaining, " of ", flow.requested,
+                         " bytes undelivered");
+    }
+    std::function<void()> cb = std::move(flow.onComplete);
+    if (flow.joined)
+        leaveAllocation(it->first, flow);
+    active_.erase(it);
+    return cb;
+}
+
 void
 FlowNetwork::complete(FlowId id)
 {
@@ -452,22 +501,7 @@ FlowNetwork::complete(FlowId id)
     if (it == active_.end())
         return;
     settleProgress();
-    if (auditor_) {
-        // Byte conservation: everything requested was delivered (the
-        // epsilon absorbs fluid-model floating-point rounding).
-        const Flow &flow = it->second;
-        const double slack =
-            std::max(kByteEpsilon, 1e-12 * flow.requested);
-        auditor_->expect(flow.remaining <= slack, queue_.now(),
-                         "flow ", id, " completed with ",
-                         flow.remaining, " of ", flow.requested,
-                         " bytes undelivered");
-    }
-    std::function<void()> cb = std::move(it->second.onComplete);
-    queue_.cancel(it->second.completion);
-    if (it->second.joined)
-        leaveAllocation(id, it->second);
-    active_.erase(it);
+    std::function<void()> cb = retire(it);
     // Reallocate the freed bandwidth before notifying, so anything the
     // callback starts sees fresh rates.
     allocateRates();

@@ -6,13 +6,21 @@
  * A Flow is a bulk transfer of a known byte count across an ordered
  * set of channels (links). All channels along a flow's path carry the
  * flow concurrently (cut-through DMA pipelining). When flows start or
- * finish, the network recomputes a max-min fair rate allocation and
- * re-arms every in-flight flow's completion event. This reproduces
- * how concurrent DMA transfers share NVLink/PCIe bandwidth on a real
- * multi-GPU system without simulating individual packets. An armed
- * event is re-keyed in place (EventQueue::reschedule) rather than
- * cancelled and scheduled anew, so re-solves leave no dead entries in
- * the event heap; the key, and so the fire order, is the same.
+ * finish, the network recomputes a max-min fair rate allocation. This
+ * reproduces how concurrent DMA transfers share NVLink/PCIe bandwidth
+ * on a real multi-GPU system without simulating individual packets.
+ *
+ * The network keeps one armed completion event, not one per flow.
+ * Every re-solve scans the in-flight flows once for their ETAs and
+ * re-keys that event (EventQueue::reschedule) to the earliest
+ * (ETA, position in active_ iteration order). That is the key the
+ * earliest of a set of per-flow events re-keyed in the same iteration
+ * order would hold, so the fire order and the executed-event count are
+ * those of per-flow arming. Flows the scan finds with no bytes left are
+ * retired in one batch (one reallocation, one re-arm), and their
+ * callbacks run in descending flow id before the callback of the flow
+ * whose event fired: the order that completing them one at a time, each
+ * inside the previous one's re-solve, would give.
  *
  * The allocation is incremental: the network tracks which flows use
  * each channel and which channels a flow start/finish/capacity change
@@ -90,7 +98,10 @@ class FlowNetwork
     /** @return true while the flow has not completed. */
     bool flowActive(FlowId id) const;
 
-    /** @return the number of in-flight flows (excluding latency stage). */
+    /**
+     * @return the number of flows not yet completed: transferring,
+     * latency-stage and pure-latency ones.
+     */
     std::size_t activeFlows() const { return active_.size(); }
 
     /**
@@ -137,7 +148,7 @@ class FlowNetwork
         std::function<void()> onComplete;
         double rate = 0; ///< bytes per tick
         Tick lastUpdate = 0;
-        EventHandle completion;
+        /** Pure-latency flow: completes by its own event, never armed. */
         bool done = false;
         /** True once the flow entered the allocation membership. */
         bool joined = false;
@@ -168,11 +179,28 @@ class FlowNetwork
     void leaveAllocation(FlowId id, const Flow &flow);
 
     /**
-     * Re-arm every in-flight flow's completion event: re-key an armed
-     * one, schedule a first one, cancel it for latency-stage flows, and
-     * complete flows with no bytes left.
+     * Re-arm the network's completion event at the earliest in-flight
+     * flow, or cancel it when none is transferring. Flows with no bytes
+     * left are first retired in one batch and reallocated around; their
+     * callbacks run last, in descending flow id.
      */
     void rescheduleCompletions();
+
+    /**
+     * One scan of the transferring flows: collect those with no bytes
+     * left into @p finished, and return the earliest completion of the
+     * rest as (tick, flow), or invalidFlow when there is none.
+     */
+    std::pair<Tick, FlowId> earliestCompletion(
+        std::vector<FlowId> &finished) const;
+
+    /**
+     * Audit byte conservation for a completing flow, take it out of
+     * the allocation and erase it.
+     * @return its completion callback.
+     */
+    std::function<void()> retire(
+        std::unordered_map<FlowId, Flow>::iterator it);
 
     void activate(FlowId id);
     void complete(FlowId id);
@@ -188,6 +216,9 @@ class FlowNetwork
     std::unordered_map<FlowId, Flow> active_;
     FlowId nextFlow_ = 0;
     Auditor *auditor_ = nullptr;
+    /** The one pending completion event; it completes armedFlow_. */
+    EventHandle armed_;
+    FlowId armedFlow_ = invalidFlow;
 
     /**
      * Per-channel ids of flows currently in the allocation (activated,
@@ -214,6 +245,7 @@ class FlowNetwork
     /** Scratch for the restricted solve; only affected slots touched. */
     std::vector<double> capScratch_;
     std::vector<int> userScratch_;
+    std::vector<std::uint8_t> frozenScratch_;
     std::vector<ChannelId> affectedChannels_;
     std::vector<std::pair<FlowId, Flow *>> affectedFlows_;
 };

@@ -2,10 +2,10 @@
  * @file
  * End-to-end cluster training tests: the 1-node degeneracy property
  * (a 1-node cluster replays the platform-only history tick for
- * tick), multi-node determinism up to 32 nodes, distinct histories
- * per inter-node schedule, the inter-node critical-path attribution
- * category, and the paper-style crossover where the IB fabric
- * dominates communication at scale.
+ * tick), multi-node determinism up to 32 nodes, pinned 16-node
+ * digests, distinct histories per inter-node schedule, the inter-node
+ * critical-path attribution category, and the paper-style crossover
+ * where the IB fabric dominates communication at scale.
  */
 
 #include <gtest/gtest.h>
@@ -120,6 +120,18 @@ TEST(ClusterTrainerTest, ThirtyTwoNodeDigestsMatch)
     EXPECT_FALSE(check.oom);
     EXPECT_TRUE(check.deterministic) << check.summary();
     EXPECT_NE(check.firstDigest, 0u);
+}
+
+TEST(ClusterTrainerTest, SixteenNodeDigestsArePinned)
+{
+    // The golden baselines stop at 8 nodes. These pins hold the event
+    // history bit-exact at a scale where thousands of flows share the
+    // fabric and many of them finish in the same tick.
+    TrainConfig ring = clusterConfig("resnet-50", 16, 4);
+    TrainConfig tree = ring;
+    tree.netAlgo = comm::NetAlgo::Tree;
+    EXPECT_EQ(core::runDigest(ring), 0x5c369e612f7b467eULL);
+    EXPECT_EQ(core::runDigest(tree), 0xcf9dfe44139d12ccULL);
 }
 
 TEST(ClusterTrainerTest, InterNodeCommDominatesAtEightNodes)

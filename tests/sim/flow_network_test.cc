@@ -217,6 +217,67 @@ TEST(FlowNetworkTest, FlowActiveReflectsLifetime)
     EXPECT_FALSE(net.flowActive(f));
 }
 
+TEST(FlowNetworkTest, SameTickFinishersRunInDescendingIdThenTheFiredFlow)
+{
+    // Five flows on their own channels all land at tick 1000. The
+    // completion event fires for the first of them in the network's
+    // iteration order (flow 4 with libstdc++'s unordered_map); the
+    // other four are retired with it, and their callbacks run in
+    // descending id before the fired flow's. Completing them one at a
+    // time, each inside the previous one's re-solve, gives this order.
+    EventQueue q;
+    FlowNetwork net(q);
+    std::vector<int> order;
+    for (int i = 0; i < 5; ++i) {
+        auto ch = net.addChannel(kUnitRate);
+        net.startFlow(1000, {ch}, [&order, i] { order.push_back(i); });
+    }
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0, 4}));
+    EXPECT_EQ(q.now(), 1000u);
+    EXPECT_EQ(q.executedEvents(), 1u);
+}
+
+TEST(FlowNetworkTest, ConcurrentFlowsHoldOnePendingEvent)
+{
+    EventQueue q;
+    FlowNetwork net(q);
+    auto ch = net.addChannel(kUnitRate);
+    int done = 0;
+    for (int i = 0; i < 1000; ++i)
+        net.startFlow(100 + i, {ch}, [&done] { ++done; });
+    EXPECT_EQ(q.pendingEvents(), 1u);
+    q.run();
+    EXPECT_EQ(done, 1000);
+    EXPECT_EQ(net.activeFlows(), 0u);
+    EXPECT_EQ(q.pendingEvents(), 0u);
+}
+
+TEST(FlowNetworkTest, SameTickFinishersSeeTheSurvivorsFreedRates)
+{
+    // Three flows share a channel at rate 1 each; two land at tick
+    // 1000 together. Every finisher callback, the first included, must
+    // see both finishers gone and the survivor at the full capacity.
+    EventQueue q;
+    FlowNetwork net(q);
+    auto ch = net.addChannel(3.0);
+    const auto survivor = net.startFlow(3000, {ch}, [] {});
+    std::vector<FlowNetwork::FlowId> finishers;
+    std::vector<double> seen;
+    for (int i = 0; i < 2; ++i) {
+        finishers.push_back(net.startFlow(1000, {ch}, [&] {
+            for (auto f : finishers)
+                EXPECT_FALSE(net.flowActive(f));
+            seen.push_back(net.currentRate(survivor));
+        }));
+    }
+    EXPECT_DOUBLE_EQ(net.currentRate(survivor), 1.0);
+    q.run();
+    EXPECT_EQ(seen, (std::vector<double>{3.0, 3.0}));
+    // 1000 bytes at rate 1, then 2000 at rate 3.
+    EXPECT_EQ(q.now(), 1000u + 667u);
+}
+
 /** Property sweep: N equal flows on one channel finish at N * T. */
 class EqualShareSweep : public ::testing::TestWithParam<int>
 {
