@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/auditor.hh"
+#include "sim/heap.hh"
 #include "sim/logging.hh"
 
 namespace dgxsim::core {
@@ -76,6 +77,7 @@ Machine::Machine(const TrainConfig &cfg, const hw::Cluster &cluster)
 void
 Machine::commonInit()
 {
+    sim::pinHeapThresholds();
     if (cfg_.batchPerGpu < 1)
         sim::fatal("batchPerGpu must be positive");
     if (cfg_.datasetImages == 0)
